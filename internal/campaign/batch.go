@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"paco/internal/core"
 	"paco/internal/cpu"
@@ -22,10 +24,10 @@ import (
 // absent a gate) and gated cells on their own cores replaying the tape.
 //
 // The planner is a pure function of the job slice, and the lockstep
-// scheduler cannot perturb per-core evolution (see cpu.Batch), so the
-// batched path returns byte-identical results to the unbatched path at
-// any K — shard content addresses and the federation's determinism
-// guarantees are untouched.
+// scheduler cannot perturb per-core evolution (see cpu.Batch), so a
+// cell's result is byte-identical at any K, including K = 1 where every
+// cell runs alone on its own core — shard content addresses and the
+// federation's determinism guarantees are untouched.
 
 // batchDomain versions the stream-key computation, domain-separated
 // from shard IDs.
@@ -39,7 +41,7 @@ const DefaultBatchK = 8
 
 // BatchUnit is one planned execution unit: the cells (indices into the
 // planned job slice) that run together on one shared instruction
-// stream. A unit of one cell executes on the ordinary single-cell path.
+// stream. A unit of one cell runs on a private core (see executeUnit).
 type BatchUnit struct {
 	// Key is the unit's stream key — the content address of the shared
 	// workload stream and run shape. Empty for singleton units of jobs
@@ -79,17 +81,10 @@ func StreamKey(job *Job) (string, bool) {
 // batchK cells each, grouping jobs by stream key. Every job lands in
 // exactly one unit; groups split into balanced chunks (Ranges); units
 // are ordered by first cell, so a plan over a grid's workload-major job
-// order stays contiguous. batchK <= 1 plans every job as a singleton —
-// the unbatched path.
+// order stays contiguous. batchK <= 1 plans every job as a unit of
+// one, in job order.
 func PlanBatches(jobs []Job, batchK int) []BatchUnit {
-	units := make([]BatchUnit, 0, len(jobs))
-	if batchK <= 1 {
-		for i := range jobs {
-			key, _ := StreamKey(&jobs[i])
-			units = append(units, BatchUnit{Key: key, Cells: []int{i}})
-		}
-		return units
-	}
+	batchK = max(batchK, 1)
 	type group struct {
 		key   string
 		cells []int
@@ -110,6 +105,7 @@ func PlanBatches(jobs []Job, batchK int) []BatchUnit {
 		}
 		groups[gi].cells = append(groups[gi].cells, i)
 	}
+	units := make([]BatchUnit, 0, len(jobs))
 	for _, g := range groups {
 		n := (len(g.cells) + batchK - 1) / batchK
 		for _, r := range Ranges(len(g.cells), n) {
@@ -118,21 +114,11 @@ func PlanBatches(jobs []Job, batchK int) []BatchUnit {
 	}
 	// Order units by first cell so execution and progress reporting
 	// follow job order as closely as the grouping allows.
-	sortUnits(units)
+	slices.SortFunc(units, func(a, b BatchUnit) int { return a.Cells[0] - b.Cells[0] })
 	return units
 }
 
-// sortUnits orders units by their first cell (insertion sort: plans are
-// small and mostly ordered already).
-func sortUnits(units []BatchUnit) {
-	for i := 1; i < len(units); i++ {
-		for j := i; j > 0 && units[j].Cells[0] < units[j-1].Cells[0]; j-- {
-			units[j], units[j-1] = units[j-1], units[j]
-		}
-	}
-}
-
-// batchLane is one cell's state during batched execution.
+// batchLane is one cell's state during executeUnit.
 type batchLane struct {
 	job     *Job
 	spec    *workload.Spec
@@ -143,18 +129,56 @@ type batchLane struct {
 	settled bool
 }
 
-// executeUnit runs a multi-cell unit on one shared instruction stream
-// and returns one Result per cell, each byte-identical to what
-// execute() would have produced for that cell alone: the per-lane
-// construction sequence (resolve spec, build core, run Setup), the
-// warmup/refresh/reset/measure schedule, and the Result assembly all
-// mirror the single-cell path exactly.
+// prologue prepares one lane for the shared run, or runs it outright:
+// done reports that res/err are the cell's final outcome. alone runs a
+// standard cell on its own core. A panic fails only this lane.
+func (ln *batchLane) prologue(ctx context.Context, alone bool) (res *Result, done bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, done, err = nil, true, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	job := ln.job
+	if job.Exec != nil {
+		res, err = job.Exec(ctx)
+		return res, true, err
+	}
+	if ln.spec, err = resolveSpec(job); err != nil {
+		return nil, true, err
+	}
+	ln.machine = cpu.DefaultConfig()
+	if job.Machine != nil {
+		ln.machine = *job.Machine
+	}
+	if ln.c, err = cpu.New(ln.machine); err != nil {
+		return nil, true, err
+	}
+	if job.Setup != nil {
+		ln.hooks = job.Setup()
+	}
+	if alone || ln.hooks.Attached != nil {
+		res, err = finishRun(ln.c, ln.spec, job, ln.hooks)
+		return res, true, err
+	}
+	return nil, false, nil
+}
+
+// executeUnit runs one planned unit and returns one Result per cell. It
+// is the only way a Runner executes cells. Each lane first runs its
+// prologue, in cell order: an Exec job runs its hook; any other job
+// resolves its workload, builds its core and runs Setup. A unit of one
+// cell, or a cell whose hooks need a private core (Hooks.Attached),
+// then runs to completion on its own core via finishRun. The remaining
+// lanes share one instruction stream on a cpu.Batch, under the same
+// warmup/refresh/reset/measure schedule as finishRun, so every cell's
+// Result is byte-identical at any batch width.
 //
-// A panic (from user Setup/estimator/gate code) fails every cell in the
-// unit that has not already settled, with the singleton path's
-// "panic: ..." text; per-lane isolation is not possible once lanes
-// share a core.
-func executeUnit(jobs []Job, cells []int) (out []Result) {
+// A panic in a lane's prologue (Exec, Setup, or a whole private-core
+// run) fails that lane alone with "panic: ...". A panic once lanes
+// share a batch (estimator or gate code) fails every cell in the unit
+// that has not already settled; per-lane isolation is not possible
+// once lanes share a core.
+func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 	out = make([]Result, len(cells))
 	lanes := make([]*batchLane, len(cells))
 	settle := func(j int, res *Result, err error) {
@@ -172,57 +196,25 @@ func executeUnit(jobs []Job, cells []int) (out []Result) {
 			}
 			out[j] = *res
 		}
-		if lanes[j] != nil {
-			lanes[j].settled = true
-		}
+		lanes[j].settled = true
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			for j := range cells {
-				if lanes[j] == nil || !lanes[j].settled {
-					job := &jobs[cells[j]]
-					out[j] = Result{JobID: job.ID, Index: cells[j], Benchmark: job.Benchmark,
-						Err: fmt.Sprintf("panic: %v", p)}
+				if !lanes[j].settled {
+					settle(j, nil, fmt.Errorf("panic: %v", p))
 				}
 			}
 		}
 	}()
 
-	// Per-lane prologue, in cell order, mirroring run(): resolve the
-	// workload, build the machine, construct the hooks.
 	for j, ci := range cells {
-		job := &jobs[ci]
-		ln := &batchLane{job: job}
-		lanes[j] = ln
-		ln.settled = true // until the lane survives the prologue
-		spec, err := resolveSpec(job)
-		if err != nil {
-			settle(j, nil, err)
-			continue
-		}
-		ln.spec = spec
-		ln.machine = cpu.DefaultConfig()
-		if job.Machine != nil {
-			ln.machine = *job.Machine
-		}
-		c, err := cpu.New(ln.machine)
-		if err != nil {
-			settle(j, nil, err)
-			continue
-		}
-		ln.c = c
-		if job.Setup != nil {
-			ln.hooks = job.Setup()
-		}
-		if ln.hooks.Attached != nil {
-			// The hooks need a private core/walker handle; run the whole
-			// cell inline on the singleton path with the hooks already
-			// built (Setup runs exactly once either way).
-			res, err := finishRun(c, spec, job, ln.hooks)
+		lanes[j] = &batchLane{job: &jobs[ci]}
+	}
+	for j, ln := range lanes {
+		if res, done, err := ln.prologue(ctx, len(cells) == 1); done {
 			settle(j, res, err)
-			continue
 		}
-		ln.settled = false
 	}
 
 	// Build the shared tape from the first surviving lane's spec (all

@@ -67,6 +67,15 @@ func TestPlanBatchesPartition(t *testing.T) {
 					t.Fatalf("grid %d K=%d: cell %d covered %d times, want exactly once", gi, batchK, ci, n)
 				}
 			}
+			if batchK <= 1 {
+				// Unbatched: one unit per cell, in job order, keyed.
+				for ui, u := range units {
+					key, _ := StreamKey(&jobs[ui])
+					if len(u.Cells) != 1 || u.Cells[0] != ui || u.Key != key {
+						t.Fatalf("grid %d K=%d: unit %d = %+v, want cell %d alone under its key", gi, batchK, ui, u, ui)
+					}
+				}
+			}
 			if again := PlanBatches(jobs, batchK); !reflect.DeepEqual(units, again) {
 				t.Fatalf("grid %d K=%d: plan is not deterministic", gi, batchK)
 			}
@@ -162,7 +171,7 @@ func TestBatchedShardRunByteIdentical(t *testing.T) {
 		}
 		pieces := make([][]Result, len(shards))
 		for i, sh := range shards {
-			pieces[i], err = sh.RunBatched(context.Background(), 2, 4)
+			pieces[i], err = sh.Run(context.Background(), 2, 4)
 			if err != nil {
 				t.Fatalf("split %d shard %d: %v", n, i, err)
 			}

@@ -122,30 +122,9 @@ func resolveSpec(job *Job) (*workload.Spec, error) {
 	return spec, nil
 }
 
-// run executes the standard single-thread simulation for one job.
-func run(job *Job) (*Result, error) {
-	spec, err := resolveSpec(job)
-	if err != nil {
-		return nil, err
-	}
-	machine := cpu.DefaultConfig()
-	if job.Machine != nil {
-		machine = *job.Machine
-	}
-	c, err := cpu.New(machine)
-	if err != nil {
-		return nil, err
-	}
-	var hooks Hooks
-	if job.Setup != nil {
-		hooks = job.Setup()
-	}
-	return finishRun(c, spec, job, hooks)
-}
-
-// finishRun is the back half of run — attach the thread, warm up,
-// measure, collect — shared with the batched path's inline-singleton
-// fallback (jobs whose hooks need a private walker or core).
+// finishRun runs one cell to completion on its own core — attach the
+// thread, warm up, measure, collect. executeUnit uses it for units of
+// one cell and for cells whose hooks need a private core or walker.
 func finishRun(c *cpu.Core, spec *workload.Spec, job *Job, hooks Hooks) (*Result, error) {
 	tid, err := c.AddThread(spec, hooks.Estimators)
 	if err != nil {

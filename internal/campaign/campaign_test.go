@@ -12,6 +12,7 @@ import (
 	"paco/internal/core"
 	"paco/internal/cpu"
 	"paco/internal/metrics"
+	"paco/internal/obs"
 	"paco/internal/workload"
 )
 
@@ -105,26 +106,108 @@ func TestSeedOverride(t *testing.T) {
 	}
 }
 
-// TestPanicRecovery: a panicking job fails alone; its neighbors complete
-// and Run reports the failure.
+// TestPanicRecovery: a panicking job fails alone, at every batch width;
+// its result carries its own JobID and the panic, its neighbors
+// complete, and Run names the first panicking job. The Setup panic
+// shares a stream key with job 0, so at K >= 2 they plan as one unit.
 func TestPanicRecovery(t *testing.T) {
 	jobs := simJobs(nil)[:2]
+	setupBoom := jobs[0]
+	setupBoom.ID = "setup-boom"
+	setupBoom.Setup = func() Hooks { panic("setup kaboom") }
 	jobs = append(jobs, Job{
 		ID: "boom",
 		Exec: func(context.Context) (*Result, error) {
 			panic("kaboom")
 		},
-	})
-	results, err := Run(context.Background(), 4, jobs)
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want panic surfaced", err)
+	}, setupBoom)
+	panics := map[int]string{2: "panic: kaboom", 3: "panic: setup kaboom"}
+
+	for _, batchK := range []int{0, 2, 8} {
+		r := Runner{Workers: 4, BatchK: batchK}
+		results, err := r.Run(context.Background(), jobs)
+		if err == nil || !strings.Contains(err.Error(), "job 2 (boom): panic: kaboom") {
+			t.Fatalf("K=%d: err = %v, want job 2's panic surfaced", batchK, err)
+		}
+		for i, res := range results {
+			if res.JobID != jobs[i].ID || res.Index != i {
+				t.Fatalf("K=%d: result %d = %+v, want JobID %q", batchK, i, res, jobs[i].ID)
+			}
+			if want, ok := panics[i]; ok {
+				if !strings.Contains(res.Err, want) {
+					t.Fatalf("K=%d: panicking job %d Err = %q, want %q", batchK, i, res.Err, want)
+				}
+			} else if res.Failed() || res.IPC <= 0 {
+				t.Fatalf("K=%d: healthy job %d disturbed: %+v", batchK, i, res)
+			}
+		}
 	}
-	if !strings.Contains(results[2].Err, "panic: kaboom") {
-		t.Fatalf("panic result = %+v", results[2])
+}
+
+// TestRunnerObservability pins the runner's instrumentation contract
+// over a mixed plan: an Exec singleton, a one-cell unit, and a
+// two-cell unit. Units of one count as SingletonCells with their cell
+// span under Runner.Parent; the K-cell unit counts K BatchedCells and
+// records one "batch" span holding its K cell spans. BatchSize observes
+// once per unit; SimDuration and QueueWait once per cell.
+func TestRunnerObservability(t *testing.T) {
+	jobs := []Job{
+		{ID: "exec", Exec: func(context.Context) (*Result, error) { return &Result{IPC: 1}, nil }},
+		{ID: "twolf", Benchmark: "twolf", Instructions: 2000, Warmup: 500},
+		{ID: "gzip-a", Benchmark: "gzip", Instructions: 2000, Warmup: 500},
+		{ID: "gzip-b", Benchmark: "gzip", Instructions: 2000, Warmup: 500},
 	}
-	for i := 0; i < 2; i++ {
-		if results[i].Failed() || results[i].IPC <= 0 {
-			t.Fatalf("healthy job %d disturbed: %+v", i, results[i])
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(64)
+	root := rec.Start("trace-1", "job", "root", 0)
+	r := Runner{
+		Workers:        2,
+		BatchK:         2,
+		SimDuration:    reg.Histogram("test_sim_seconds", "sim", nil),
+		QueueWait:      reg.Histogram("test_queue_wait_seconds", "wait", nil),
+		Recorder:       rec,
+		Trace:          "trace-1",
+		Parent:         root.ID(),
+		BatchSize:      reg.Histogram("test_batch_size", "size", obs.ExpBuckets(1, 2, 5)),
+		BatchedCells:   reg.Counter("test_batched_cells_total", "batched"),
+		SingletonCells: reg.Counter("test_singleton_cells_total", "singleton"),
+	}
+	if _, err := r.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	root.End("")
+
+	if got := r.SingletonCells.Value(); got != 2 {
+		t.Errorf("SingletonCells = %d, want 2", got)
+	}
+	if got := r.BatchedCells.Value(); got != 2 {
+		t.Errorf("BatchedCells = %d, want 2", got)
+	}
+	if n, sum := r.BatchSize.Count(), r.BatchSize.Sum(); n != 3 || sum != 4 {
+		t.Errorf("BatchSize count/sum = %d/%g, want 3 units over 4 cells", n, sum)
+	}
+	if n := r.SimDuration.Count(); n != 4 {
+		t.Errorf("SimDuration count = %d, want 4", n)
+	}
+	if n := r.QueueWait.Count(); n != 4 {
+		t.Errorf("QueueWait count = %d, want 4", n)
+	}
+
+	batches := rec.Snapshot(obs.Filter{Kind: "batch"})
+	if len(batches) != 1 || batches[0].Parent != root.ID() || batches[0].Trace != "trace-1" {
+		t.Fatalf("batch spans = %+v, want one under the root", batches)
+	}
+	wantParent := map[string]uint64{
+		"exec": root.ID(), "twolf": root.ID(),
+		"gzip-a": batches[0].ID, "gzip-b": batches[0].ID,
+	}
+	cells := rec.Snapshot(obs.Filter{Kind: "cell"})
+	if len(cells) != len(jobs) {
+		t.Fatalf("cell spans = %d, want %d", len(cells), len(jobs))
+	}
+	for _, sp := range cells {
+		if want, ok := wantParent[sp.Name]; !ok || sp.Parent != want || sp.Trace != "trace-1" || sp.Err != "" {
+			t.Errorf("cell span %q: parent %d trace %q err %q, want parent %d", sp.Name, sp.Parent, sp.Trace, sp.Err, want)
 		}
 	}
 }

@@ -18,11 +18,11 @@ type Runner struct {
 	// Workers bounds concurrent jobs; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// BatchK enables the batched lockstep kernel: cells sharing one
-	// instruction stream (equal StreamKey) execute together, up to
-	// BatchK per batch, amortizing workload generation across
-	// configurations. Results are byte-identical to the unbatched path
-	// at any K. <= 1 runs every cell on the single-cell path.
+	// BatchK bounds how many cells sharing one instruction stream
+	// (equal StreamKey) execute together as one unit on the batched
+	// lockstep kernel, amortizing workload generation across
+	// configurations. <= 1 plans every cell as a unit of one, which
+	// runs on a private core. Results are byte-identical at any K.
 	BatchK int
 
 	// OnProgress, when non-nil, is called after every job finishes (or is
@@ -37,7 +37,8 @@ type Runner struct {
 	// simulate wall seconds; QueueWait observes how long the cell sat
 	// between Run starting and a worker picking it up. Recorder, when
 	// non-nil, records one "cell" span per executed job under Trace,
-	// parented to Parent (a job- or shard-level span).
+	// parented to Parent (a job- or shard-level span) or, for a cell
+	// that shared a unit, to that unit's "batch" span.
 	SimDuration *obs.Histogram
 	QueueWait   *obs.Histogram
 	Recorder    *obs.Recorder
@@ -45,9 +46,10 @@ type Runner struct {
 	Parent      uint64
 
 	// Batch instrumentation (nil-safe like the hooks above). BatchSize
-	// observes every execution unit's cell count; BatchedCells and
-	// SingletonCells count cells by which path executed them. A batched
-	// unit records one "batch" span with per-cell "cell" spans under it.
+	// observes every execution unit's cell count; SingletonCells counts
+	// cells that ran as a unit of one and BatchedCells cells that shared
+	// a unit. A unit of K > 1 records one "batch" span with its "cell"
+	// spans under it.
 	BatchSize      *obs.Histogram
 	BatchedCells   *obs.Counter
 	SingletonCells *obs.Counter
@@ -161,9 +163,14 @@ feed:
 	return results, FirstError(results)
 }
 
-// runUnit executes one planned unit on a worker goroutine: the original
-// single-cell path for singleton units, the shared-stream batch for
-// multi-cell units.
+// runUnit executes one planned unit on a worker goroutine. Every unit,
+// singleton or batched, takes the same sequence: queue and running
+// counters, QueueWait and BatchSize, skip-on-cancel, executeUnit,
+// SimDuration (the unit's wall time split evenly over its cells), cell
+// spans and progress. A unit of one counts as a SingletonCell and
+// parents its cell span to Runner.Parent; a unit of K counts K
+// BatchedCells and records one "batch" span with the K cell spans
+// under it.
 func (r *Runner) runUnit(ctx context.Context, jobs []Job, u BatchUnit, results []Result, runStart time.Time, progress func(*Result)) {
 	k := len(u.Cells)
 	r.queued.Add(-int64(k))
@@ -174,99 +181,50 @@ func (r *Runner) runUnit(ctx context.Context, jobs []Job, u BatchUnit, results [
 	}
 	r.BatchSize.Observe(float64(k))
 
+	var unitSpan obs.Span
+	parent := r.Parent
 	if k == 1 {
-		i := u.Cells[0]
 		r.SingletonCells.Inc()
-		sp := r.Recorder.Start(r.Trace, "cell", jobs[i].ID, r.Parent)
-		cellStart := time.Now()
-		if ctx.Err() != nil {
-			results[i] = skipped(&jobs[i], i, ctx)
-		} else {
-			results[i] = execute(ctx, &jobs[i], i)
+	} else {
+		r.BatchedCells.Add(uint64(k))
+		short := u.Key
+		if len(short) > 12 {
+			short = short[:12]
 		}
-		r.SimDuration.Observe(time.Since(cellStart).Seconds())
-		sp.End(results[i].Err)
-		r.running.Add(-1)
-		r.done.Add(1)
-		progress(&results[i])
-		return
+		unitSpan = r.Recorder.Start(r.Trace, "batch", fmt.Sprintf("%s*%d", short, k), r.Parent)
+		parent = unitSpan.ID()
 	}
-
-	r.BatchedCells.Add(uint64(k))
-	short := u.Key
-	if len(short) > 12 {
-		short = short[:12]
-	}
-	sp := r.Recorder.Start(r.Trace, "batch", fmt.Sprintf("%s*%d", short, k), r.Parent)
 	cellSpans := make([]obs.Span, k)
 	for j, i := range u.Cells {
-		cellSpans[j] = r.Recorder.Start(r.Trace, "cell", jobs[i].ID, sp.ID())
+		cellSpans[j] = r.Recorder.Start(r.Trace, "cell", jobs[i].ID, parent)
 	}
-	batchStart := time.Now()
+	start := time.Now()
 	if ctx.Err() != nil {
 		for _, i := range u.Cells {
 			results[i] = skipped(&jobs[i], i, ctx)
 		}
 	} else {
-		for j, res := range executeUnit(jobs, u.Cells) {
+		for j, res := range executeUnit(ctx, jobs, u.Cells) {
 			results[u.Cells[j]] = res
 		}
 	}
-	// One batch of K cells is one simulate pass; attribute the wall time
+	// A unit of K cells is one simulate pass; attribute the wall time
 	// evenly so per-cell duration reflects the amortized cost.
-	per := time.Since(batchStart).Seconds() / float64(k)
+	per := time.Since(start).Seconds() / float64(k)
+	var unitErr string
 	for j, i := range u.Cells {
 		r.SimDuration.Observe(per)
 		cellSpans[j].End(results[i].Err)
-	}
-	var unitErr string
-	for _, i := range u.Cells {
-		if results[i].Err != "" {
+		if unitErr == "" {
 			unitErr = results[i].Err
-			break
 		}
 	}
-	sp.End(unitErr)
+	unitSpan.End(unitErr)
 	r.running.Add(-int64(k))
 	r.done.Add(int64(k))
 	for _, i := range u.Cells {
 		progress(&results[i])
 	}
-}
-
-// execute runs one job with panic recovery.
-func execute(ctx context.Context, job *Job, idx int) (out Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			out = Result{
-				JobID:     job.ID,
-				Index:     idx,
-				Benchmark: job.Benchmark,
-				Err:       fmt.Sprintf("panic: %v", p),
-			}
-		}
-	}()
-	var (
-		res *Result
-		err error
-	)
-	if job.Exec != nil {
-		res, err = job.Exec(ctx)
-	} else {
-		res, err = run(job)
-	}
-	if err != nil {
-		return Result{JobID: job.ID, Index: idx, Benchmark: job.Benchmark, Err: err.Error()}
-	}
-	if res == nil {
-		res = &Result{}
-	}
-	res.JobID = job.ID
-	res.Index = idx
-	if res.Benchmark == "" {
-		res.Benchmark = job.Benchmark
-	}
-	return *res
 }
 
 func skipped(job *Job, idx int, ctx context.Context) Result {

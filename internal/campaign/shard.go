@@ -109,20 +109,13 @@ func (s Shard) Jobs() []Job {
 	return jobs[s.Lo:s.Hi]
 }
 
-// Run executes the shard on a local worker pool and returns its results
-// re-indexed into the grid's global cell space, so merging the shards of
-// a split campaign (Merge) reproduces the unsplit run's result slice —
-// byte for byte, at any worker count.
-func (s Shard) Run(ctx context.Context, workers int) ([]Result, error) {
-	return s.RunBatched(ctx, workers, 0)
-}
-
-// RunBatched is Run on the batched lockstep path: cells within the
-// shard that share a stream key execute up to batchK per shared
-// instruction stream. Results are byte-identical to Run's for any
-// batchK and any shard split — batching changes execution scheduling,
-// never cell content, so shard IDs stay pure content addresses.
-func (s Shard) RunBatched(ctx context.Context, workers, batchK int) ([]Result, error) {
+// Run executes the shard on a local worker pool, batching up to batchK
+// cells that share a stream key (see Runner.BatchK), and returns its
+// results re-indexed into the grid's global cell space, so merging the
+// shards of a split campaign (Merge) reproduces the unsplit run's
+// result slice — byte for byte, at any worker count, batch width or
+// shard split.
+func (s Shard) Run(ctx context.Context, workers, batchK int) ([]Result, error) {
 	jobs := s.Jobs()
 	if len(jobs) != s.Hi-s.Lo {
 		return nil, fmt.Errorf("campaign: shard range [%d,%d) outside grid's %d cells", s.Lo, s.Hi, len(s.Grid.Jobs()))
@@ -133,16 +126,6 @@ func (s Shard) RunBatched(ctx context.Context, workers, batchK int) ([]Result, e
 		results[i].Index = s.Lo + i
 	}
 	return results, err
-}
-
-// Batches returns the shard's batched execution plan: how its cells
-// (indices relative to the shard's job slice) group onto shared
-// instruction streams at the given batch width. Purely informational —
-// the plan is a deterministic function of the shard and batchK, so
-// coordinators and workers can reason about batch shape without
-// executing anything.
-func (s Shard) Batches(batchK int) []BatchUnit {
-	return PlanBatches(s.Jobs(), batchK)
 }
 
 // FirstError returns the first failed result (by slice order) as the

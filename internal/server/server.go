@@ -386,6 +386,23 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// readBody reads the request body, at most limit bytes. On failure it
+// answers "label: err" — 413 past the limit, 400 otherwise — and
+// returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, label string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		errorJSON(w, status, "%s: %v", label, err)
+		return nil, false
+	}
+	return body, true
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -398,14 +415,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // it, and answer from the cache, an in-flight duplicate, or a fresh
 // enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading body: %v", err)
+	body, ok := readBody(w, r, 1<<20, "reading body")
+	if !ok {
 		return
 	}
 	var grid campaign.Grid
@@ -415,7 +426,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "parsing job spec: %v", err)
 		return
 	}
-	grid, err = grid.Normalized()
+	grid, err := grid.Normalized()
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
@@ -726,14 +737,8 @@ func (s *Server) handleShardRenew(w http.ResponseWriter, r *http.Request) {
 
 // handleShardResult is POST /v1/shards/{id}/result.
 func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading shard result: %v", err)
+	body, ok := readBody(w, r, 64<<20, "reading shard result")
+	if !ok {
 		return
 	}
 	var post ShardResultPost

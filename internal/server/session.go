@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -58,27 +57,33 @@ type sessionIngested struct {
 	Queued   int `json:"queued"`
 }
 
-// handleSessionOpen is POST /v1/sessions: spec in (the zero spec selects
-// one default PaCo estimator), session ID and content key out.
-func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading body: %v", err)
-		return
-	}
+// readSessionSpec reads a POST /v1/sessions body, shared by the local
+// and routed handlers: an empty body selects the zero spec, anything
+// else must be a strict JSON spec. On failure it has answered the
+// request and returns false.
+func readSessionSpec(w http.ResponseWriter, r *http.Request) (session.Spec, bool) {
 	var spec session.Spec
+	body, ok := readBody(w, r, 1<<20, "reading body")
+	if !ok {
+		return spec, false
+	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			errorJSON(w, http.StatusBadRequest, "parsing session spec: %v", err)
-			return
+			return spec, false
 		}
+	}
+	return spec, true
+}
+
+// handleSessionOpen is POST /v1/sessions: spec in (the zero spec selects
+// one default PaCo estimator), session ID and content key out.
+func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
+	spec, ok := readSessionSpec(w, r)
+	if !ok {
+		return
 	}
 	trace := r.Header.Get(obs.TraceHeader)
 	if trace == "" {
@@ -113,14 +118,8 @@ func sessionFormat(r *http.Request) session.Format {
 // dropped after this); 429 + Retry-After rejects it whole, with decoder
 // state rolled back so retrying the identical bytes is lossless.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSessionChunk))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading events: %v", err)
+	body, ok := readBody(w, r, maxSessionChunk, "reading events")
+	if !ok {
 		return
 	}
 	accepted, queued, err := s.sessions.Ingest(r.PathValue("id"), sessionFormat(r), body)

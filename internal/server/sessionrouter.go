@@ -243,24 +243,9 @@ func (rt *sessionRouter) dropLocked(e *routedSession, reason string) {
 // spec exactly as the local handler does, mint a coordinator ID, pick
 // the owner by rendezvous hash, and open the session there.
 func (rt *sessionRouter) handleOpen(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading body: %v", err)
+	spec, ok := readSessionSpec(w, r)
+	if !ok {
 		return
-	}
-	var spec session.Spec
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			errorJSON(w, http.StatusBadRequest, "parsing session spec: %v", err)
-			return
-		}
 	}
 	norm, err := spec.Normalized()
 	if err != nil {
@@ -525,14 +510,8 @@ func upstreamGone(status int) bool {
 // client's retry of the identical bytes lands here again.
 func (rt *sessionRouter) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSessionChunk))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading events: %v", err)
+	body, ok := readBody(w, r, maxSessionChunk, "reading events")
+	if !ok {
 		return
 	}
 	e := rt.lookup(w, id)

@@ -270,14 +270,15 @@ type CampaignSnapshot = campaign.Snapshot
 // CampaignShard is one contiguous slice of a grid's cell space — the
 // self-contained, content-addressed unit of work the distributed
 // federation leases to workers (see CampaignGrid.Shards and DESIGN.md
-// §7). Running every shard of a plan and merging reproduces the unsplit
-// campaign byte for byte.
+// §7). Shard.Run executes the slice at a given worker count and batch
+// width; running every shard of a plan and merging reproduces the
+// unsplit campaign byte for byte.
 type CampaignShard = campaign.Shard
 
 // Batched lockstep execution (see DESIGN.md §5b): campaign cells that
 // replay one instruction stream execute together — one workload tape
-// feeding K cores in lockstep — with results byte-identical to the
-// single-cell path at any batch width.
+// feeding K cores in lockstep — with results byte-identical at any
+// batch width; a unit of one cell runs on a private core.
 type (
 	// BatchUnit is one planned execution unit: the cell indices that
 	// share one instruction stream, keyed by its content address.
@@ -291,7 +292,7 @@ type (
 
 // PlanBatches partitions campaign jobs into batched execution units of
 // at most batchK cells, grouping by stream key. Every job lands in
-// exactly one unit; batchK <= 1 plans all singletons.
+// exactly one unit; batchK <= 1 plans every job as a unit of one.
 func PlanBatches(jobs []CampaignJob, batchK int) []BatchUnit {
 	return campaign.PlanBatches(jobs, batchK)
 }
