@@ -167,7 +167,8 @@ func newServerObs(s *Server, logger *slog.Logger, flightSpans int) *serverObs {
 	s.sampler.OnRate(rateHist.Observe)
 	// Live estimator-session families (the /v1/sessions subsystem). The
 	// gauges read the table at scrape time; it is wired up right after
-	// newServerObs returns, before any request can reach /metrics.
+	// newServerObs returns, before any request can reach /metrics, and a
+	// routing coordinator has none (the gauges read zero).
 	r.GaugeFunc("paco_session_open", "Estimator sessions currently open.",
 		func() float64 {
 			if s.sessions == nil {

@@ -101,10 +101,12 @@ type Config struct {
 	// the federation workers that advertise a session endpoint in their
 	// lease polls, proxied to the owning worker, and journaled so a
 	// worker death mid-session fails over to a survivor by replaying the
-	// journal (DESIGN.md §6b). The local session table stays constructed
-	// (its metrics read zero) but unreachable over HTTP. Requires
-	// workers started with a session endpoint (paco-serve
-	// -sessions-addr); with no live endpoints, session opens answer 503.
+	// journal (DESIGN.md §6b). Such a coordinator builds no local
+	// session table: of the Session* fields only SessionTTL and
+	// SessionSweep apply (to routed sessions), and the paco_session_open
+	// and paco_session_queued_events gauges read zero. Requires workers
+	// started with a session endpoint (paco-serve -sessions-addr); with
+	// no live endpoints, session opens answer 503.
 	RouteSessions bool
 
 	// Experiments scales the /v1/experiments reports (nil selects
@@ -144,8 +146,9 @@ type Server struct {
 	expCfg   experiments.Config
 	cache    *Cache
 	fed      *federation
-	sessions *session.Table
+	sessions *session.Table // nil on a routing coordinator
 	router   *sessionRouter // non-nil iff cfg.RouteSessions
+	backend  sessionBackend // serves /v1/sessions: the table or the router
 	mux      *http.ServeMux
 	obs      *serverObs
 
@@ -235,18 +238,21 @@ func New(cfg Config) (*Server, error) {
 		s.obs.ts = tsdb.New(tsdb.Config{Registry: s.obs.reg, Interval: cfg.SampleInterval})
 	}
 	s.fed = newFederation(cfg.LeaseTTL, cfg.WorkerLiveness, cfg.ShardRetryLimit, cache, s.obs)
-	s.sessions = session.NewTable(session.TableConfig{
-		Shards:          cfg.SessionShards,
-		MaxSessions:     cfg.SessionMaxOpen,
-		MaxQueuedEvents: cfg.SessionQueueEvents,
-		IdleTTL:         cfg.SessionTTL,
-		SweepInterval:   cfg.SessionSweep,
-		Metrics:         s.obs.sessionMetrics,
-		Recorder:        s.obs.rec,
-		Log:             s.obs.log,
-	})
 	if cfg.RouteSessions {
 		s.router = newSessionRouter(s.fed, s.obs, cfg.SessionTTL, cfg.SessionSweep)
+		s.backend = s.router
+	} else {
+		s.sessions = session.NewTable(session.TableConfig{
+			Shards:          cfg.SessionShards,
+			MaxSessions:     cfg.SessionMaxOpen,
+			MaxQueuedEvents: cfg.SessionQueueEvents,
+			IdleTTL:         cfg.SessionTTL,
+			SweepInterval:   cfg.SessionSweep,
+			Metrics:         s.obs.sessionMetrics,
+			Recorder:        s.obs.rec,
+			Log:             s.obs.log,
+		})
+		s.backend = localSessions{s.sessions}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -256,19 +262,11 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/shards/lease", s.handleShardLease)
 	mux.HandleFunc("POST /v1/shards/{id}/renew", s.handleShardRenew)
 	mux.HandleFunc("POST /v1/shards/{id}/result", s.handleShardResult)
-	if s.router != nil {
-		mux.HandleFunc("POST /v1/sessions", s.router.handleOpen)
-		mux.HandleFunc("POST /v1/sessions/{id}/events", s.router.handleEvents)
-		mux.HandleFunc("GET /v1/sessions/{id}/scores", s.router.handleScores)
-		mux.HandleFunc("GET /v1/sessions/{id}/live", s.router.handleLive)
-		mux.HandleFunc("DELETE /v1/sessions/{id}", s.router.handleClose)
-	} else {
-		mux.HandleFunc("POST /v1/sessions", s.handleSessionOpen)
-		mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleSessionEvents)
-		mux.HandleFunc("GET /v1/sessions/{id}/scores", s.handleSessionScores)
-		mux.HandleFunc("GET /v1/sessions/{id}/live", s.handleSessionLive)
-		mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionClose)
-	}
+	mux.HandleFunc("POST /v1/sessions", s.handleSessionOpen)
+	mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleSessionEvents)
+	mux.HandleFunc("GET /v1/sessions/{id}/scores", s.handleSessionScores)
+	mux.HandleFunc("GET /v1/sessions/{id}/live", s.handleSessionLive)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionClose)
 	mux.HandleFunc("GET /v1/experiments/{name}", s.handleExperiment)
 	mux.HandleFunc("GET /v1/timeseries", s.handleTimeseries)
 	mux.HandleFunc("GET /v1/campaigns/{id}/report", s.handleCampaignReport)
@@ -296,8 +294,8 @@ func (s *Server) Start() {
 // Close stops accepting submissions, cancels in-flight campaigns (their
 // executing cells finish, unstarted cells are skipped), fails jobs still
 // waiting in the queue, waits for the worker pool to drain, and shuts
-// down the session table (remaining sessions close with their queues
-// applied).
+// down the session backend (a table's remaining sessions close with
+// their queues applied; a router stops its sweeper).
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -311,8 +309,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	if s.router != nil {
 		s.router.shutdown()
+	} else {
+		s.sessions.Shutdown()
 	}
-	s.sessions.Shutdown()
 	if s.obs.ts != nil {
 		s.obs.ts.Close()
 	}

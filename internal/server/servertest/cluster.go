@@ -184,6 +184,17 @@ func New(t testing.TB, cfg Config) *Cluster {
 // URL returns the coordinator's base URL.
 func (c *Cluster) URL() string { return c.HTTP.URL }
 
+// SessionURL returns the named worker's session sub-server base URL
+// (Config.SessionWorkers only; "" otherwise or for an unknown worker).
+func (c *Cluster) SessionURL(worker string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h := c.workers[worker]; h != nil && h.sessHTTP != nil {
+		return h.sessHTTP.URL
+	}
+	return ""
+}
+
 // StartWorker adds one worker loop to the federation and returns its
 // name (w1, w2, ...). Safe to call after kills to model churn.
 func (c *Cluster) StartWorker() string {
@@ -217,8 +228,8 @@ func (c *Cluster) StartWorker() string {
 			JobWorkers:     1,
 			CacheBytes:     1 << 20,
 			SessionTTL:     ttl,
-			SampleInterval: -1, // no sampler goroutine per worker
-			FlightSpans:    -1,
+			SampleInterval: -1,  // no sampler goroutine per worker
+			FlightSpans:    256, // the worker's own session spans
 		})
 		if err != nil {
 			c.t.Fatalf("servertest: building session server for %s: %v", name, err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -310,5 +311,180 @@ func TestSessionRoutingPlacement(t *testing.T) {
 	}
 	if v, _ := metricValue(metrics, "paco_session_routed_open"); v != 24 {
 		t.Errorf("paco_session_routed_open = %v, want 24", v)
+	}
+}
+
+// routedCluster starts a routing coordinator over session workers.
+func routedCluster(t *testing.T, workers int, workerTTL time.Duration) *servertest.Cluster {
+	t.Helper()
+	return servertest.New(t, servertest.Config{
+		Workers:          workers,
+		SessionWorkers:   true,
+		WorkerSessionTTL: workerTTL,
+		Server: server.Config{
+			JobWorkers:    1,
+			CacheBytes:    1 << 20,
+			RouteSessions: true,
+		},
+	})
+}
+
+// call sends one request and returns the status and body.
+func call(t *testing.T, method, url, contentType, body string, header ...string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+// openOn opens a soakSpec session at base and returns its ID and owner.
+func openOn(t *testing.T, base string, header ...string) (id, worker string) {
+	t.Helper()
+	status, body := call(t, http.MethodPost, base+"/v1/sessions", "application/json", soakSpec, header...)
+	if status != http.StatusCreated {
+		t.Fatalf("open → %d: %s", status, body)
+	}
+	var opened struct {
+		ID     string `json:"id"`
+		Worker string `json:"worker"`
+	}
+	if err := json.Unmarshal([]byte(body), &opened); err != nil {
+		t.Fatal(err)
+	}
+	return opened.ID, opened.Worker
+}
+
+// TestSessionRoutingLiveOwnerEvicted: when the owner's own idle TTL
+// evicts a routed session first, a routed /live answers 410 naming
+// "evicted". The owner is healthy, so nothing fails over and the owner
+// keeps taking new sessions.
+func TestSessionRoutingLiveOwnerEvicted(t *testing.T) {
+	c := routedCluster(t, 2, 100*time.Millisecond)
+	id, owner := openRouted(t, c.URL(), soakSpec)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, metrics := call(t, http.MethodGet, c.SessionURL(owner)+"/metrics", "", "")
+		if v, _ := metricValue(metrics, `paco_session_closed_total{reason="evicted"}`); v >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("owner never evicted the session")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	status, body := call(t, http.MethodGet, c.URL()+"/v1/sessions/"+id+"/live", "", "")
+	if status != http.StatusGone || !strings.Contains(body, "evicted") {
+		t.Fatalf("live after owner eviction → %d %s, want 410 naming evicted", status, body)
+	}
+	metrics, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := metricValue(metrics, "paco_session_failover_total"); v != 0 {
+		t.Errorf("paco_session_failover_total = %v, want 0: a healthy owner was treated as dead", v)
+	}
+	for i := 0; ; i++ {
+		if _, w := openOn(t, c.URL()); w == owner {
+			break
+		}
+		if i == 32 {
+			t.Fatalf("32 routed opens avoided %s: the owner is still excluded from routing", owner)
+		}
+	}
+}
+
+// TestSessionRoutingTrace: the client's trace ID crosses the proxy hop,
+// so the owning worker's session span carries it.
+func TestSessionRoutingTrace(t *testing.T) {
+	c := routedCluster(t, 2, 0)
+	openRouted(t, c.URL(), soakSpec) // wait until a worker can take sessions
+	const trace = "routed-trace-1"
+	id, worker := openOn(t, c.URL(), "X-Paco-Trace", trace)
+	if status, body := call(t, http.MethodDelete, c.URL()+"/v1/sessions/"+id, "", ""); status != http.StatusOK {
+		t.Fatalf("close → %d: %s", status, body)
+	}
+	status, body := call(t, http.MethodGet, c.SessionURL(worker)+"/debug/flight?kind=session&trace="+trace, "", "")
+	if status != http.StatusOK {
+		t.Fatalf("owner flight → %d: %s", status, body)
+	}
+	var report server.FlightReport
+	if err := json.Unmarshal([]byte(body), &report); err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Spans) != 1 || report.Spans[0].Trace != trace {
+		t.Fatalf("owner %s holds %d session spans for trace %q, want 1: %+v", worker, len(report.Spans), trace, report.Spans)
+	}
+}
+
+// TestSessionRoutedErrorContract: a routing coordinator answers each
+// session error with the status and body a plain server gives.
+func TestSessionRoutedErrorContract(t *testing.T) {
+	plain, err := server.New(server.Config{JobWorkers: 1, CacheBytes: 1 << 20, SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Start()
+	pts := httptest.NewServer(plain.Handler())
+	defer plain.Close()
+	defer pts.Close()
+	c := routedCluster(t, 2, 0)
+	openRouted(t, c.URL(), soakSpec)
+
+	chunk := string(soakTraceBytes(t, soakEvents(7, 200)))
+	cases := []struct {
+		name   string
+		status int
+		run    func(base string) (int, string)
+	}{
+		{"malformed spec", http.StatusBadRequest, func(base string) (int, string) {
+			return call(t, http.MethodPost, base+"/v1/sessions", "application/json", `{"estimators":`)
+		}},
+		{"unknown id", http.StatusNotFound, func(base string) (int, string) {
+			return call(t, http.MethodGet, base+"/v1/sessions/s-000000000000-999999/scores", "", "")
+		}},
+		{"format mix-up", http.StatusConflict, func(base string) (int, string) {
+			id, _ := openOn(t, base)
+			if status, body := call(t, http.MethodPost, base+"/v1/sessions/"+id+"/events", "application/octet-stream", chunk); status != http.StatusAccepted {
+				t.Fatalf("binary chunk → %d: %s", status, body)
+			}
+			return call(t, http.MethodPost, base+"/v1/sessions/"+id+"/events", "application/x-ndjson", "{}\n")
+		}},
+		{"malformed chunk", http.StatusBadRequest, func(base string) (int, string) {
+			id, _ := openOn(t, base)
+			return call(t, http.MethodPost, base+"/v1/sessions/"+id+"/events", "application/octet-stream", "not a trace stream")
+		}},
+		{"closed id", http.StatusGone, func(base string) (int, string) {
+			id, _ := openOn(t, base)
+			if status, body := call(t, http.MethodDelete, base+"/v1/sessions/"+id, "", ""); status != http.StatusOK {
+				t.Fatalf("close → %d: %s", status, body)
+			}
+			return call(t, http.MethodGet, base+"/v1/sessions/"+id+"/scores", "", "")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantBody := tc.run(pts.URL)
+			if wantStatus != tc.status {
+				t.Fatalf("plain server → %d %s, want %d", wantStatus, wantBody, tc.status)
+			}
+			if status, body := tc.run(c.URL()); status != wantStatus || body != wantBody {
+				t.Fatalf("routed → %d %s, plain server → %d %s", status, body, wantStatus, wantBody)
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"paco/internal/obs"
 	"paco/internal/session"
@@ -23,16 +22,32 @@ import (
 // the same encoder as every other endpoint so they are byte-comparable
 // to `paco-trace replay -scores` output for the same events.
 //
-// Error mapping: unknown session 404, recently closed session 410 with
-// the close reason (so a DELETE racing the idle sweeper sees a
-// deterministic "gone: evicted" instead of a flaky not-found), format
-// mix-up 409, full queue 429 with Retry-After (the chunk was not
-// consumed — retry the identical bytes), table full or shutting down
-// 503, everything else a client error 400.
-//
-// With Config.RouteSessions the whole surface is served by the session
-// router instead (see sessionrouter.go): same contract, but the session
-// lives on a federation worker and survives that worker's death.
+// The five handlers here are the only ones. They are written against a
+// sessionBackend: this process's session.Table or, with
+// Config.RouteSessions, the session router (sessionrouter.go), which
+// keeps each session on a federation worker and fails it over when the
+// worker dies. Both return the table's typed values and errors, so the
+// error→status mapping (sessionError), the SSE writer and the trace
+// header handling exist once.
+
+// sessionBackend serves the /v1/sessions handlers. *session.Table
+// implements it through localSessions; *sessionRouter implements it
+// directly.
+type sessionBackend interface {
+	Open(spec session.Spec, trace string) (sessionOpened, error)
+	Ingest(id string, format session.Format, chunk []byte) (accepted, queued int, err error)
+	Scores(id string) (session.Scores, error)
+	Subscribe(id string) (<-chan session.Scores, func(), error)
+	Close(id, reason string) (session.Scores, error)
+}
+
+// localSessions serves sessions from this process's table.
+type localSessions struct{ *session.Table }
+
+func (l localSessions) Open(spec session.Spec, trace string) (sessionOpened, error) {
+	id, key, norm, err := l.Table.Open(spec, trace)
+	return sessionOpened{ID: id, Key: key, Spec: norm}, err
+}
 
 // maxSessionChunk bounds one ingest chunk's wire size (4 MiB ≈ 190k
 // binary records). The per-session queue bound is separate and governs
@@ -57,49 +72,66 @@ type sessionIngested struct {
 	Queued   int `json:"queued"`
 }
 
-// readSessionSpec reads a POST /v1/sessions body, shared by the local
-// and routed handlers: an empty body selects the zero spec, anything
-// else must be a strict JSON spec. On failure it has answered the
-// request and returns false.
-func readSessionSpec(w http.ResponseWriter, r *http.Request) (session.Spec, bool) {
-	var spec session.Spec
+// sessionError answers a failed session request with the error's
+// status: unknown session 404; recently closed session 410 with the
+// close reason, so a DELETE racing the idle sweeper sees a deterministic
+// "gone: evicted" instead of a flaky not-found; format mix-up 409; full
+// queue 429 with Retry-After (the chunk was not consumed — retry the
+// identical bytes); table full, shutting down or no session worker 503;
+// anything else — bad specs, stream errors — 400, and the session stays
+// readable and closeable.
+func sessionError(w http.ResponseWriter, err error) {
+	var gone *session.GoneError
+	var bp *session.BackpressureError
+	var fe *session.FormatError
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, session.ErrNotFound):
+		status = http.StatusNotFound
+	case errors.As(err, &gone):
+		status = http.StatusGone
+	case errors.As(err, &bp):
+		// Whole seconds, rounded up so a sub-second hint never becomes
+		// "retry immediately".
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(bp.RetryAfter.Seconds()))))
+		status = http.StatusTooManyRequests
+	case errors.As(err, &fe):
+		status = http.StatusConflict
+	case errors.Is(err, session.ErrTableFull), errors.Is(err, session.ErrShutdown),
+		errors.Is(err, errNoSessionWorker):
+		status = http.StatusServiceUnavailable
+	}
+	errorJSON(w, status, "%v", err)
+}
+
+// handleSessionOpen is POST /v1/sessions: spec in (an empty body selects
+// the zero spec, one default PaCo estimator; anything else must be a
+// strict JSON spec), session ID and content key out.
+func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, 1<<20, "reading body")
 	if !ok {
-		return spec, false
+		return
 	}
+	var spec session.Spec
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			errorJSON(w, http.StatusBadRequest, "parsing session spec: %v", err)
-			return spec, false
+			return
 		}
-	}
-	return spec, true
-}
-
-// handleSessionOpen is POST /v1/sessions: spec in (the zero spec selects
-// one default PaCo estimator), session ID and content key out.
-func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	spec, ok := readSessionSpec(w, r)
-	if !ok {
-		return
 	}
 	trace := r.Header.Get(obs.TraceHeader)
 	if trace == "" {
 		trace = obs.NewTraceID()
 	}
-	id, key, norm, err := s.sessions.Open(spec, trace)
+	opened, err := s.backend.Open(spec, trace)
 	if err != nil {
-		if errors.Is(err, session.ErrTableFull) || errors.Is(err, session.ErrShutdown) {
-			errorJSON(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		errorJSON(w, http.StatusBadRequest, "%v", err)
+		sessionError(w, err)
 		return
 	}
 	w.Header().Set(obs.TraceHeader, trace)
-	writeJSON(w, http.StatusCreated, sessionOpened{ID: id, Key: key, Spec: norm})
+	writeJSON(w, http.StatusCreated, opened)
 }
 
 // sessionFormat picks the ingest encoding from the request Content-Type:
@@ -122,59 +154,20 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	accepted, queued, err := s.sessions.Ingest(r.PathValue("id"), sessionFormat(r), body)
+	accepted, queued, err := s.backend.Ingest(r.PathValue("id"), sessionFormat(r), body)
 	if err != nil {
-		var bp *session.BackpressureError
-		var fe *session.FormatError
-		switch {
-		case isSessionMiss(err):
-			errorJSON(w, sessionMissStatus(err), "%v", err)
-		case errors.As(err, &bp):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(bp.RetryAfter)))
-			errorJSON(w, http.StatusTooManyRequests, "%v", err)
-		case errors.As(err, &fe):
-			errorJSON(w, http.StatusConflict, "%v", err)
-		default:
-			// Decode errors and latched stream errors: the stream is bad,
-			// but the session stays readable and closeable.
-			errorJSON(w, http.StatusBadRequest, "%v", err)
-		}
+		sessionError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, sessionIngested{Accepted: accepted, Queued: queued})
 }
 
-// retryAfterSeconds renders a backoff hint as the integer seconds the
-// Retry-After header requires, rounding up so a sub-second hint never
-// becomes "retry immediately".
-func retryAfterSeconds(d time.Duration) int {
-	return int(math.Ceil(d.Seconds()))
-}
-
-// isSessionMiss reports whether err is a session-lookup miss, and
-// sessionMissStatus distinguishes its two deterministic verdicts: 404
-// for an ID the table never issued, 410 (with the close reason in the
-// body) for a session that existed and has since closed — the verdict a
-// DELETE racing the idle sweeper must see.
-func isSessionMiss(err error) bool {
-	var gone *session.GoneError
-	return errors.Is(err, session.ErrNotFound) || errors.As(err, &gone)
-}
-
-func sessionMissStatus(err error) int {
-	var gone *session.GoneError
-	if errors.As(err, &gone) {
-		return http.StatusGone
-	}
-	return http.StatusNotFound
-}
-
 // handleSessionScores is GET /v1/sessions/{id}/scores: a point-in-time
 // snapshot (and an activity signal to the idle sweeper).
 func (s *Server) handleSessionScores(w http.ResponseWriter, r *http.Request) {
-	sc, err := s.sessions.Scores(r.PathValue("id"))
+	sc, err := s.backend.Scores(r.PathValue("id"))
 	if err != nil {
-		errorJSON(w, sessionMissStatus(err), "%v", err)
+		sessionError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, sc)
@@ -184,11 +177,13 @@ func (s *Server) handleSessionScores(w http.ResponseWriter, r *http.Request) {
 // stream of score snapshots. The stream opens with the current snapshot,
 // emits a "scores" event after each shard-worker drain (latest-wins — a
 // slow reader skips intermediate states), and ends with a terminal
-// "final" event when the session closes or is evicted.
+// "final" event when the session closes or is evicted. The subscription
+// is made before the 200 is written, so a closed or unknown session
+// gets its 410/404 verdict rather than an empty stream.
 func (s *Server) handleSessionLive(w http.ResponseWriter, r *http.Request) {
-	ch, cancel, err := s.sessions.Subscribe(r.PathValue("id"))
+	ch, cancel, err := s.backend.Subscribe(r.PathValue("id"))
 	if err != nil {
-		errorJSON(w, sessionMissStatus(err), "%v", err)
+		sessionError(w, err)
 		return
 	}
 	defer cancel()
@@ -224,9 +219,9 @@ func (s *Server) handleSessionLive(w http.ResponseWriter, r *http.Request) {
 // in-flight branches, and return the final scores — the same document
 // offline replay of the session's event stream produces.
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	final, err := s.sessions.Close(r.PathValue("id"), session.CloseClient)
+	final, err := s.backend.Close(r.PathValue("id"), session.CloseClient)
 	if err != nil {
-		errorJSON(w, sessionMissStatus(err), "%v", err)
+		sessionError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, final)

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,52 +23,63 @@ import (
 
 // Session router — federated /v1/sessions (DESIGN.md §6b).
 //
-// With Config.RouteSessions the coordinator stops serving sessions from
-// its local table and instead places each one on a federation worker:
-// the session ID is rendezvous-hashed over the live workers that
-// advertise a session endpoint in their lease polls, and every request
-// for that ID proxies to the owner. The coordinator keeps an
-// append-only journal of the chunks the owner acknowledged (202 only —
-// a rejected chunk was not consumed and is not part of the stream), so
-// when the owner dies mid-session the router re-opens the session's
-// spec on the surviving worker the hash ranks next and replays the
-// journal into it. Estimator sessions are deterministic functions of
-// their event stream, so the failed-over session's scores — including
-// the final DELETE document — are byte-identical to an uninterrupted
-// run's.
+// With Config.RouteSessions the coordinator has no session table of its
+// own; the router is the backend behind the /v1/sessions handlers
+// instead. It places each session on a federation worker: the session
+// ID is rendezvous-hashed over the live workers that advertise a
+// session endpoint in their lease polls, and every request for that ID
+// goes to the owner. The router returns the table's typed values and
+// errors — it decodes the owner's replies and maps the owner's error
+// statuses back to the table's errors (ownerErrorLocked) — so the one
+// set of handlers answers routed and local requests alike. The
+// coordinator keeps an append-only journal of the chunks the owner
+// acknowledged (202 only — a rejected chunk was not consumed and is not
+// part of the stream), so when the owner dies mid-session the router
+// re-opens the session's spec on the surviving worker the hash ranks
+// next and replays the journal into it. Estimator sessions are
+// deterministic functions of their event stream, so the failed-over
+// session's scores — including the final DELETE document — are
+// byte-identical to an uninterrupted run's.
 //
 // Failure model:
 //
-//   - Worker death: the first proxied request to hit a transport error
-//     marks the worker dead (excluded from routing for one liveness
-//     window — by then a genuinely dead worker has also stopped
-//     heartbeating) and fails the session over before retrying the
-//     request, so the client sees a served request, not an error.
-//   - Worker-side eviction (its own idle TTL): treated as eviction of
-//     the routed session — tombstoned, 410 "evicted". Deployments set
+//   - Worker death: the first request to the owner that hits a
+//     transport error marks the worker dead (excluded from routing for
+//     one liveness window — by then a genuinely dead worker has also
+//     stopped heartbeating) and fails the session over before retrying
+//     the request, so the client sees a served request, not an error.
+//   - Worker-side eviction (its own idle TTL): an owner 404/410 drops
+//     the routed session as evicted — tombstoned, 410 "evicted". The
+//     owner is healthy and stays in the routing set. Deployments set
 //     the worker-side TTL above the coordinator's so the coordinator's
 //     sweep owns eviction (its remote DELETE pushes the terminal
 //     "final" frame to attached live streams).
-//   - No live session workers: open and failover answer 503.
+//   - No live session workers: open and failover fail with
+//     errNoSessionWorker (503).
 //
-// Concurrency: one mutex per routed session serializes its proxied
-// operations (so a failover cannot interleave with an ingest's journal
+// Concurrency: one mutex per routed session serializes its requests to
+// the owner (so a failover cannot interleave with an ingest's journal
 // append), and the router map has its own lock. Lock order is entry
-// before map; the map lock is never held across network calls.
+// before map; the map lock is never held across network calls, and
+// neither lock is held while a live stream is open.
 
 // routerMaxFailovers bounds how many consecutive owner deaths one
 // request will chase before giving up with 503.
 const routerMaxFailovers = 4
 
+// errNoSessionWorker reports a routed request that no live session
+// worker could serve (→ 503).
+var errNoSessionWorker = errors.New("server: no session worker available")
+
 // routedSession is the coordinator-side record of one live routed
 // session. All fields after the identity block are guarded by mu.
 type routedSession struct {
 	id       string // coordinator-issued ID the client holds
-	key      string // spec content address
+	trace    string // the opening request's trace, forwarded on every (re-)open
 	specJSON []byte // normalized spec, re-POSTed verbatim on failover
 
 	mu       sync.Mutex
-	worker   string // owning worker name
+	worker   string // owning worker name; "" until first placed
 	base     string // owner's session endpoint base URL
 	remoteID string // ID the owner's table issued
 	gen      int    // bumped per failover; guards duplicate failovers
@@ -87,7 +97,7 @@ type routedTomb struct {
 type sessionRouter struct {
 	fed    *federation
 	obs    *serverObs
-	client *http.Client // control-plane calls; SSE streams use per-request contexts
+	client *http.Client // every call carries its own context
 	clock  *expiry.Tracker
 	sweep  time.Duration
 
@@ -203,18 +213,20 @@ func (rt *sessionRouter) missError(id string) error {
 	return session.ErrNotFound
 }
 
-// lookup resolves id to its live entry, or writes the 404/410 miss
-// response and returns nil.
-func (rt *sessionRouter) lookup(w http.ResponseWriter, id string) *routedSession {
+// lock resolves id to its live entry and locks it, or returns the
+// miss verdict.
+func (rt *sessionRouter) lock(id string) (*routedSession, error) {
 	rt.mu.Lock()
 	e := rt.sessions[id]
 	rt.mu.Unlock()
-	if e == nil {
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return nil
+	if e != nil {
+		e.mu.Lock()
+		if rt.stillRoutedLocked(e) {
+			return e, nil
+		}
+		e.mu.Unlock()
 	}
-	return e
+	return nil, rt.missError(id)
 }
 
 // stillRoutedLocked re-checks, after e.mu was acquired, that e was not
@@ -239,41 +251,29 @@ func (rt *sessionRouter) dropLocked(e *routedSession, reason string) {
 	rt.obs.routedClosed.With(reason).Inc()
 }
 
-// handleOpen is the routed POST /v1/sessions: parse and normalize the
-// spec exactly as the local handler does, mint a coordinator ID, pick
-// the owner by rendezvous hash, and open the session there.
-func (rt *sessionRouter) handleOpen(w http.ResponseWriter, r *http.Request) {
-	spec, ok := readSessionSpec(w, r)
-	if !ok {
-		return
-	}
+// Open normalizes the spec exactly as the table does, mints a
+// coordinator ID, and places the session on the worker the rendezvous
+// hash ranks first.
+func (rt *sessionRouter) Open(spec session.Spec, trace string) (sessionOpened, error) {
 	norm, err := spec.Normalized()
 	if err != nil {
-		errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
+		return sessionOpened{}, err
 	}
 	key, err := norm.Key()
 	if err != nil {
-		errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
+		return sessionOpened{}, err
 	}
 	specJSON, err := json.Marshal(norm)
 	if err != nil {
-		errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	trace := r.Header.Get(obs.TraceHeader)
-	if trace == "" {
-		trace = obs.NewTraceID()
+		return sessionOpened{}, err
 	}
 	id := fmt.Sprintf("s-%s-%06d", key[:12], rt.seq.Add(1))
 
-	e := &routedSession{id: id, key: key, specJSON: specJSON, journal: session.NewJournal()}
+	e := &routedSession{id: id, trace: trace, specJSON: specJSON, journal: session.NewJournal()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := rt.placeLocked(e); err != nil {
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return sessionOpened{}, err
 	}
 	rt.mu.Lock()
 	rt.sessions[id] = e
@@ -281,21 +281,27 @@ func (rt *sessionRouter) handleOpen(w http.ResponseWriter, r *http.Request) {
 	rt.clock.Touch(id, time.Now())
 	rt.obs.routedOpened.Inc()
 	rt.obs.log.Info("session routed", "session", id, "worker", e.worker, "key", short(key), "trace", trace)
-	w.Header().Set(obs.TraceHeader, trace)
-	writeJSON(w, http.StatusCreated, sessionOpened{ID: id, Key: key, Spec: norm, Worker: e.worker})
+	return sessionOpened{ID: id, Key: key, Spec: norm, Worker: e.worker}, nil
 }
 
-// placeLocked opens e's spec on the best live candidate, walking the
-// rendezvous ranking past workers that fail. Caller holds e.mu. On
-// return e.worker/base/remoteID name the owner.
+// placeLocked homes e on the best live candidate: it opens e's spec
+// there and replays e's journal, walking the rendezvous ranking past
+// workers that fail. First placement is the degenerate failover, with
+// no previous owner and an empty journal. A real failover first marks
+// the previous owner dead and then bumps gen, so a concurrent observer
+// (the live-stream relay) can tell its stream went stale. Caller holds
+// e.mu.
 func (rt *sessionRouter) placeLocked(e *routedSession) error {
-	cands := rt.candidates(e.id)
-	if len(cands) == 0 {
-		return errors.New("server: no live session workers (start workers with -sessions-addr)")
+	from := e.worker
+	if from != "" {
+		rt.markDead(from)
 	}
-	var lastErr error
-	for _, cand := range cands {
-		remoteID, err := rt.openOn(cand, e.specJSON)
+	lastErr := errors.New("no live session workers (start workers with -sessions-addr)")
+	for _, cand := range rt.candidates(e.id) {
+		remoteID, err := rt.openOn(cand, e)
+		if err == nil {
+			err = rt.replayJournal(cand, remoteID, e.journal)
+		}
 		if err != nil {
 			lastErr = err
 			if isTransportError(err) {
@@ -304,9 +310,17 @@ func (rt *sessionRouter) placeLocked(e *routedSession) error {
 			continue
 		}
 		e.worker, e.base, e.remoteID = cand.name, cand.url, remoteID
+		if from != "" {
+			e.gen++
+			rt.obs.failovers.Inc()
+			rt.obs.failoverReplayed.Add(uint64(e.journal.Len()))
+			rt.obs.log.Warn("session failed over",
+				"session", e.id, "from", from, "to", cand.name,
+				"chunks", e.journal.Len(), "bytes", e.journal.Bytes(), "gen", e.gen)
+		}
 		return nil
 	}
-	return fmt.Errorf("server: no session worker accepted the session: %w", lastErr)
+	return fmt.Errorf("%w for session %s: %v", errNoSessionWorker, e.id, lastErr)
 }
 
 // transportError wraps a connection-level failure (as opposed to an
@@ -322,391 +336,368 @@ func isTransportError(err error) bool {
 	return errors.As(err, &te)
 }
 
-// openOn opens a session with the given spec on one worker and returns
-// the ID that worker's table issued.
-func (rt *sessionRouter) openOn(ep sessionEndpoint, specJSON []byte) (string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// send issues one request to a session worker; every call the router
+// makes goes through it. A connection-level failure comes back as
+// *transportError. A request whose context the caller cancelled comes
+// back as the context's error: the caller went away, the worker did
+// not die.
+func (rt *sessionRouter) send(ctx context.Context, method, url, contentType, trace string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if trace != "" {
+		req.Header.Set(obs.TraceHeader, trace)
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return nil, ctx.Err()
+		}
+		return nil, &transportError{err: err}
+	}
+	return resp, nil
+}
+
+// reply is a session worker's complete answer to one request.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// exchange is one control-plane call: send with a 30s timeout and read
+// the whole reply. A reply cut off mid-body is a transport failure
+// too.
+func (rt *sessionRouter) exchange(method, url, contentType, trace string, body []byte) (reply, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ep.url+"/v1/sessions", bytes.NewReader(specJSON))
+	resp, err := rt.send(ctx, method, url, contentType, trace, body)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return reply{}, &transportError{err: err}
+	}
+	return reply{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// decodeReply decodes a worker's success reply into v.
+func decodeReply(worker string, body []byte, v any) error {
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("%w: worker %s: decoding reply: %v", errNoSessionWorker, worker, err)
+	}
+	return nil
+}
+
+// contentType is the ingest Content-Type that sessionFormat maps back
+// to f.
+func contentType(f session.Format) string {
+	if f == session.FormatBinary {
+		return "application/octet-stream"
+	}
+	return "application/x-ndjson"
+}
+
+// openOn opens e's spec on one worker, under e's trace, and returns the
+// ID that worker's table issued.
+func (rt *sessionRouter) openOn(ep sessionEndpoint, e *routedSession) (string, error) {
+	rep, err := rt.exchange(http.MethodPost, ep.url+"/v1/sessions", "application/json", e.trace, e.specJSON)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return "", &transportError{err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return "", fmt.Errorf("worker %s: open: %s: %s", ep.name, resp.Status, bytes.TrimSpace(msg))
+	if rep.status != http.StatusCreated {
+		return "", fmt.Errorf("worker %s: open: HTTP %d: %s", ep.name, rep.status, bytes.TrimSpace(rep.body))
 	}
 	var opened sessionOpened
-	if err := json.NewDecoder(resp.Body).Decode(&opened); err != nil {
-		return "", fmt.Errorf("worker %s: decoding open response: %w", ep.name, err)
+	if err := decodeReply(ep.name, rep.body, &opened); err != nil {
+		return "", err
 	}
 	return opened.ID, nil
 }
 
-// failoverLocked moves e off its (dead) owner: mark the owner dead,
-// re-open the spec on the next live candidate, and replay the journal
-// so the new session holds exactly the event stream the old owner had
-// acknowledged. Caller holds e.mu; gen is bumped so a concurrent
-// observer (the live-stream proxy) can tell its snapshot went stale.
-func (rt *sessionRouter) failoverLocked(e *routedSession) error {
-	dead := e.worker
-	rt.markDead(dead)
-	cands := rt.candidates(e.id)
-	var lastErr error
-	for _, cand := range cands {
-		remoteID, err := rt.openOn(cand, e.specJSON)
-		if err != nil {
-			lastErr = err
-			if isTransportError(err) {
-				rt.markDead(cand.name)
-			}
-			continue
-		}
-		if err := rt.replayJournal(cand, remoteID, e.journal); err != nil {
-			lastErr = err
-			if isTransportError(err) {
-				rt.markDead(cand.name)
-			}
-			continue
-		}
-		e.worker, e.base, e.remoteID = cand.name, cand.url, remoteID
-		e.gen++
-		rt.obs.failovers.Inc()
-		rt.obs.failoverReplayed.Add(uint64(e.journal.Len()))
-		rt.obs.log.Warn("session failed over",
-			"session", e.id, "from", dead, "to", cand.name,
-			"chunks", e.journal.Len(), "bytes", e.journal.Bytes(), "gen", e.gen)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no live session workers")
-	}
-	return fmt.Errorf("server: session %s failover: %w", e.id, lastErr)
-}
-
 // replayJournal streams a journal's chunks into a freshly opened
 // session, honoring the worker's backpressure (bounded 429 retries per
-// chunk, paced by its Retry-After hint).
+// chunk, one second apart).
 func (rt *sessionRouter) replayJournal(ep sessionEndpoint, remoteID string, j *session.Journal) error {
-	contentType := "application/x-ndjson"
-	if j.Format() == session.FormatBinary {
-		contentType = "application/octet-stream"
-	}
 	for _, chunk := range j.Chunks() {
 		for attempt := 0; ; attempt++ {
-			status, retryAfter, err := rt.post(ep.url+"/v1/sessions/"+remoteID+"/events", contentType, chunk)
+			rep, err := rt.exchange(http.MethodPost, ep.url+"/v1/sessions/"+remoteID+"/events",
+				contentType(j.Format()), "", chunk)
 			if err != nil {
-				return &transportError{err: err}
+				return err
 			}
-			if status == http.StatusAccepted {
+			if rep.status == http.StatusAccepted {
 				break
 			}
-			if status == http.StatusTooManyRequests && attempt < 100 {
-				d := time.Second
-				if s, err := strconv.Atoi(retryAfter); err == nil && s > 0 {
-					d = time.Duration(s) * time.Second
-				}
-				time.Sleep(min(d, time.Second))
+			if rep.status == http.StatusTooManyRequests && attempt < 100 {
+				time.Sleep(time.Second)
 				continue
 			}
-			return fmt.Errorf("worker %s: replay chunk rejected: HTTP %d", ep.name, status)
+			return fmt.Errorf("worker %s: replay chunk rejected: HTTP %d", ep.name, rep.status)
 		}
 	}
 	return nil
 }
 
-// post sends one control-plane POST and fully consumes the response,
-// returning its status and Retry-After hint.
-func (rt *sessionRouter) post(url, contentType string, body []byte) (int, string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header.Get("Retry-After"), nil
-}
-
-// forwardLocked proxies one request to e's owner, failing the session
-// over (and retrying the request on the new owner) when the owner is
-// unreachable. Caller holds e.mu. The returned response body is fully
-// read into the returned byte slice and closed.
-func (rt *sessionRouter) forwardLocked(e *routedSession, method, suffix, contentType string, body []byte) (*http.Response, []byte, error) {
+// forwardLocked sends one request to e's owner, failing the session
+// over and retrying on the new owner while the owner is unreachable.
+// Caller holds e.mu.
+func (rt *sessionRouter) forwardLocked(e *routedSession, method, suffix, contentType string, body []byte) (reply, error) {
 	for attempt := 0; attempt <= routerMaxFailovers; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
+		rep, err := rt.exchange(method, e.base+"/v1/sessions/"+e.remoteID+suffix, contentType, "", body)
+		if !isTransportError(err) {
+			return rep, err
 		}
-		req, err := http.NewRequestWithContext(ctx, method,
-			e.base+"/v1/sessions/"+e.remoteID+suffix, rd)
-		if err != nil {
-			cancel()
-			return nil, nil, err
+		if err := rt.placeLocked(e); err != nil {
+			return reply{}, err
 		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			cancel()
-			if ferr := rt.failoverLocked(e); ferr != nil {
-				return nil, nil, ferr
-			}
-			continue
-		}
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
+	}
+	return reply{}, fmt.Errorf("%w for session %s: owner kept dying (%d failovers)", errNoSessionWorker, e.id, routerMaxFailovers)
+}
+
+// ownerError is an owner's error reply: its message verbatim (so the
+// handlers answer with the owner's bytes), wrapping the table error
+// that selects the same status.
+type ownerError struct {
+	msg   string
+	cause error
+}
+
+func (e *ownerError) Error() string { return e.msg }
+func (e *ownerError) Unwrap() error { return e.cause }
+
+// ownerErrorLocked maps the owner's error reply to the error the table
+// returns for the same condition. An owner that no longer knows the
+// session (its own idle TTL fired, or a direct client deleted it) drops
+// the routed session as evicted; the owner itself is healthy. Caller
+// holds e.mu and has checked that e is still routed.
+func (rt *sessionRouter) ownerErrorLocked(e *routedSession, rep reply) error {
+	var cause error
+	switch rep.status {
+	case http.StatusNotFound, http.StatusGone:
+		rt.dropLocked(e, session.CloseEvicted)
+		return rt.missError(e.id)
+	case http.StatusTooManyRequests:
+		secs, _ := strconv.Atoi(rep.header.Get("Retry-After"))
+		cause = &session.BackpressureError{RetryAfter: time.Duration(secs) * time.Second}
+	case http.StatusConflict:
+		cause = &session.FormatError{} // the owner's message names the formats
+	case http.StatusBadRequest:
+	default:
+		cause = errNoSessionWorker
+	}
+	var msg struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(rep.body, &msg) != nil || msg.Error == "" {
+		msg.Error = fmt.Sprintf("worker %s: HTTP %d", e.worker, rep.status)
+	}
+	return &ownerError{msg: msg.Error, cause: cause}
+}
+
+// Ingest forwards a chunk to the owner and journals it iff the owner
+// acknowledged it (202). A rejected chunk was not consumed and is not
+// journaled: the client's retry of the identical bytes lands here
+// again.
+func (rt *sessionRouter) Ingest(id string, format session.Format, chunk []byte) (accepted, queued int, err error) {
+	e, err := rt.lock(id)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer e.mu.Unlock()
+	rep, err := rt.forwardLocked(e, http.MethodPost, "/events", contentType(format), chunk)
+	if err != nil {
+		return 0, 0, err
+	}
+	if rep.status != http.StatusAccepted {
+		return 0, 0, rt.ownerErrorLocked(e, rep)
+	}
+	if err := e.journal.Append(format, chunk); err != nil {
+		// Unreachable in practice: the owner accepted the chunk, so
+		// the formats agreed there. Surface rather than diverge.
+		return 0, 0, err
+	}
+	rt.journalBytes.Add(int64(len(chunk)))
+	rt.clock.Touch(id, time.Now())
+	rt.obs.routedChunks.Inc()
+	var ack sessionIngested
+	err = decodeReply(e.worker, rep.body, &ack)
+	return ack.Accepted, ack.Queued, err
+}
+
+// Scores reads the owner's snapshot (an activity signal, as on the
+// table).
+func (rt *sessionRouter) Scores(id string) (session.Scores, error) {
+	e, err := rt.lock(id)
+	if err != nil {
+		return session.Scores{}, err
+	}
+	defer e.mu.Unlock()
+	rep, err := rt.forwardLocked(e, http.MethodGet, "/scores", "", nil)
+	if err != nil {
+		return session.Scores{}, err
+	}
+	if rep.status != http.StatusOK {
+		return session.Scores{}, rt.ownerErrorLocked(e, rep)
+	}
+	rt.clock.Touch(id, time.Now())
+	var sc session.Scores
+	err = decodeReply(e.worker, rep.body, &sc)
+	return sc, err
+}
+
+// Close closes the owner's session and returns its final scores.
+// Because failover replays the acknowledged stream, they match an
+// uninterrupted run's even if the session changed workers mid-stream.
+func (rt *sessionRouter) Close(id, reason string) (session.Scores, error) {
+	e, err := rt.lock(id)
+	if err != nil {
+		return session.Scores{}, err
+	}
+	defer e.mu.Unlock()
+	rep, err := rt.forwardLocked(e, http.MethodDelete, "", "", nil)
+	if err != nil {
+		return session.Scores{}, err
+	}
+	if rep.status != http.StatusOK {
+		return session.Scores{}, rt.ownerErrorLocked(e, rep)
+	}
+	rt.dropLocked(e, reason)
+	rt.obs.log.Info("session closed", "session", id, "worker", e.worker, "reason", reason)
+	var final session.Scores
+	err = decodeReply(e.worker, rep.body, &final)
+	return final, err
+}
+
+// Subscribe relays the owner's live stream into a latest-wins channel.
+// The owner is subscribed before Subscribe returns, so an owner that no
+// longer knows the session yields the miss verdict, not a stream. When
+// the owner's stream breaks before its final snapshot, the relay fails
+// the session over (unless a concurrent request already moved it) and
+// resubscribes on the new owner, so the stream still ends with the
+// final snapshot. cancel stops the relay.
+func (rt *sessionRouter) Subscribe(id string) (<-chan session.Scores, func(), error) {
+	rt.mu.Lock()
+	e := rt.sessions[id]
+	rt.mu.Unlock()
+	if e == nil {
+		return nil, nil, rt.missError(id)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	resp, gen, err := rt.subscribeOwner(ctx, e, -1)
+	if err != nil {
 		cancel()
-		if err != nil {
-			if ferr := rt.failoverLocked(e); ferr != nil {
-				return nil, nil, ferr
+		return nil, nil, err
+	}
+	ch := make(chan session.Scores, 1)
+	go func() {
+		defer close(ch)
+		for {
+			final := relayLive(resp.Body, ch)
+			resp.Body.Close()
+			if final || ctx.Err() != nil {
+				return
 			}
-			continue
-		}
-		return resp, respBody, nil
-	}
-	return nil, nil, fmt.Errorf("server: session %s: owner kept dying (%d failovers)", e.id, routerMaxFailovers)
-}
-
-// relay writes an upstream response verbatim — status, error/content
-// headers, and body bytes — so routed responses (including the final
-// scores document clients byte-compare against offline replay) are
-// identical to what the owning worker produced.
-func relay(w http.ResponseWriter, resp *http.Response, body []byte) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
-}
-
-// upstreamGone reports a 404/410 from the owning worker: the worker's
-// table no longer knows the session (its own idle TTL fired, or a
-// direct client deleted it out from under the router).
-func upstreamGone(status int) bool {
-	return status == http.StatusNotFound || status == http.StatusGone
-}
-
-// handleEvents is the routed chunk ingest: forward to the owner, and
-// journal the chunk iff the owner acknowledged it (202). A 429 is
-// relayed without journaling — the chunk was not consumed, and the
-// client's retry of the identical bytes lands here again.
-func (rt *sessionRouter) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	body, ok := readBody(w, r, maxSessionChunk, "reading events")
-	if !ok {
-		return
-	}
-	e := rt.lookup(w, id)
-	if e == nil {
-		return
-	}
-	format := sessionFormat(r)
-	contentType := r.Header.Get("Content-Type")
-	if contentType == "" {
-		contentType = "application/x-ndjson"
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !rt.stillRoutedLocked(e) {
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	resp, respBody, err := rt.forwardLocked(e, http.MethodPost, "/events", contentType, body)
-	if err != nil {
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if upstreamGone(resp.StatusCode) {
-		rt.dropLocked(e, session.CloseEvicted)
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	if resp.StatusCode == http.StatusAccepted {
-		if err := e.journal.Append(format, body); err != nil {
-			// Unreachable in practice: the owner accepted the chunk, so
-			// the formats agreed there. Surface rather than diverge.
-			errorJSON(w, http.StatusConflict, "%v", err)
-			return
-		}
-		rt.journalBytes.Add(int64(len(body)))
-		rt.clock.Touch(id, time.Now())
-		rt.obs.routedChunks.Inc()
-	}
-	relay(w, resp, respBody)
-}
-
-// handleScores proxies the snapshot read (an activity signal, like the
-// local handler's).
-func (rt *sessionRouter) handleScores(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e := rt.lookup(w, id)
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !rt.stillRoutedLocked(e) {
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	resp, respBody, err := rt.forwardLocked(e, http.MethodGet, "/scores", "", nil)
-	if err != nil {
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if upstreamGone(resp.StatusCode) {
-		rt.dropLocked(e, session.CloseEvicted)
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	if resp.StatusCode == http.StatusOK {
-		rt.clock.Touch(id, time.Now())
-	}
-	relay(w, resp, respBody)
-}
-
-// handleClose proxies the DELETE. The final-scores document is relayed
-// byte-for-byte from the owner — and because failover replays the
-// acknowledged stream, those bytes match an uninterrupted run even if
-// the session changed workers mid-stream.
-func (rt *sessionRouter) handleClose(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e := rt.lookup(w, id)
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !rt.stillRoutedLocked(e) {
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	resp, respBody, err := rt.forwardLocked(e, http.MethodDelete, "", "", nil)
-	if err != nil {
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if upstreamGone(resp.StatusCode) {
-		rt.dropLocked(e, session.CloseEvicted)
-		err := rt.missError(id)
-		errorJSON(w, sessionMissStatus(err), "%v", err)
-		return
-	}
-	if resp.StatusCode == http.StatusOK {
-		rt.dropLocked(e, session.CloseClient)
-		rt.obs.log.Info("session closed", "session", id, "worker", e.worker, "reason", session.CloseClient)
-	}
-	relay(w, resp, respBody)
-}
-
-// handleLive proxies the SSE score stream. The proxy subscribes to the
-// owner's /live and forwards frames; when the owner dies mid-stream it
-// fails the session over (unless another request already did — the gen
-// check) and resubscribes on the new owner, so the client's stream
-// survives the death and still ends with the terminal "final" frame.
-func (rt *sessionRouter) handleLive(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e := rt.lookup(w, id)
-	if e == nil {
-		return
-	}
-	send, ok := sseStart(w)
-	if !ok {
-		return
-	}
-	for {
-		e.mu.Lock()
-		if !rt.stillRoutedLocked(e) {
-			e.mu.Unlock()
-			return
-		}
-		base, remoteID, gen := e.base, e.remoteID, e.gen
-		e.mu.Unlock()
-
-		final, err := rt.proxyStream(r.Context(), send, base, remoteID)
-		if final || r.Context().Err() != nil {
-			return
-		}
-		// The upstream stream broke without a terminal frame: the owner
-		// died (err != nil) or closed the stream early. Fail over if no
-		// one else has, then resubscribe on the current owner.
-		e.mu.Lock()
-		if !rt.stillRoutedLocked(e) {
-			e.mu.Unlock()
-			return
-		}
-		if e.gen == gen {
-			if ferr := rt.failoverLocked(e); ferr != nil {
-				e.mu.Unlock()
-				rt.obs.log.Warn("live stream lost its session", "session", id, "error", errors.Join(err, ferr))
+			if resp, gen, err = rt.subscribeOwner(ctx, e, gen); err != nil {
+				if ctx.Err() == nil {
+					rt.obs.log.Warn("live stream lost its session", "session", id, "error", err)
+				}
 				return
 			}
 		}
-		e.mu.Unlock()
-	}
+	}()
+	return ch, cancel, nil
 }
 
-// proxyStream forwards one upstream /live subscription frame-by-frame.
-// It returns final=true when the terminal "final" frame was forwarded
-// (the stream is complete) and an error when the upstream connection
-// failed before that.
-func (rt *sessionRouter) proxyStream(ctx context.Context, send func(name string, data []byte), base, remoteID string) (final bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/sessions/"+remoteID+"/live", nil)
-	if err != nil {
-		return false, err
+// subscribeOwner opens the live stream of e's owner and returns it with
+// the generation it belongs to. broken names the generation whose
+// stream just ended without a final snapshot (-1 for none): that owner
+// is presumed dead, and the session fails over unless a concurrent
+// request already moved it. The stream is opened without holding e.mu,
+// so it never blocks the session's other requests.
+func (rt *sessionRouter) subscribeOwner(ctx context.Context, e *routedSession, broken int) (*http.Response, int, error) {
+	for attempt := 0; attempt <= routerMaxFailovers; attempt++ {
+		e.mu.Lock()
+		if !rt.stillRoutedLocked(e) {
+			e.mu.Unlock()
+			return nil, 0, rt.missError(e.id)
+		}
+		if e.gen == broken {
+			if err := rt.placeLocked(e); err != nil {
+				e.mu.Unlock()
+				return nil, 0, err
+			}
+		}
+		gen, url := e.gen, e.base+"/v1/sessions/"+e.remoteID+"/live"
+		e.mu.Unlock()
+
+		resp, err := rt.send(ctx, http.MethodGet, url, "", "", nil)
+		if isTransportError(err) {
+			broken = gen
+			continue
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if resp.StatusCode == http.StatusOK {
+			return resp, gen, nil
+		}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		resp.Body.Close()
+		e.mu.Lock()
+		switch {
+		case !rt.stillRoutedLocked(e):
+			err = rt.missError(e.id)
+		case e.gen != gen:
+			// Failed over while this request was in flight: the old
+			// owner's verdict is moot, try the new owner.
+			e.mu.Unlock()
+			continue
+		default:
+			err = rt.ownerErrorLocked(e, reply{status: resp.StatusCode, header: resp.Header, body: body})
+		}
+		e.mu.Unlock()
+		return nil, 0, err
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("upstream live: HTTP %d", resp.StatusCode)
-	}
-	var name string
-	var data []byte
-	sc := bufio.NewScanner(resp.Body)
+	return nil, 0, fmt.Errorf("%w for session %s: owner kept dying (%d failovers)", errNoSessionWorker, e.id, routerMaxFailovers)
+}
+
+// relayLive forwards the snapshots of one owner live stream into ch,
+// latest-wins, and reports whether the stream ended with the final
+// snapshot. The relay is ch's only sender, so after dropping an
+// undelivered snapshot the send cannot block.
+func relayLive(stream io.Reader, ch chan session.Scores) bool {
+	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 0, 64<<10), maxSessionChunk)
 	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = []byte(strings.TrimPrefix(line, "data: "))
-		case line == "" && name != "":
-			send(name, data)
-			if name == "final" {
-				return true, nil
-			}
-			name, data = "", nil
+		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+		if !ok {
+			continue
+		}
+		var snap session.Scores
+		if json.Unmarshal(data, &snap) != nil {
+			return false
+		}
+		select {
+		case <-ch:
+		default:
+		}
+		ch <- snap
+		if snap.Final {
+			return true
 		}
 	}
-	return false, sc.Err()
+	return false
 }
 
 // sweeper evicts idle routed sessions on the coordinator's TTL, exactly
@@ -741,7 +732,8 @@ func (rt *sessionRouter) sweepOnce(now time.Time) {
 			e.mu.Unlock()
 			continue // touched between candidacy and claim: it lives
 		}
-		rt.deleteUpstream(e)
+		// Outcome ignored: a dead owner's table died with it.
+		rt.exchange(http.MethodDelete, e.base+"/v1/sessions/"+e.remoteID, "", "", nil)
 		rt.dropLocked(e, session.CloseEvicted)
 		rt.obs.log.Info("routed session evicted", "session", id, "worker", e.worker)
 		e.mu.Unlock()
@@ -754,21 +746,4 @@ func (rt *sessionRouter) sweepOnce(now time.Time) {
 		}
 	}
 	rt.mu.Unlock()
-}
-
-// deleteUpstream best-effort DELETEs e's remote session; eviction
-// proceeds regardless of the outcome (a dead owner's table is gone with
-// it, a live owner pushes the "final" frame to attached live streams).
-func (rt *sessionRouter) deleteUpstream(e *routedSession) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		e.base+"/v1/sessions/"+e.remoteID, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := rt.client.Do(req); err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-	}
 }
