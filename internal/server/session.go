@@ -78,8 +78,9 @@ type sessionIngested struct {
 // "gone: evicted" instead of a flaky not-found; format mix-up 409; full
 // queue 429 with Retry-After (the chunk was not consumed — retry the
 // identical bytes); table full, shutting down or no session worker 503;
-// anything else — bad specs, stream errors — 400, and the session stays
-// readable and closeable.
+// anything else — bad specs, undecodable chunks — 400. A rejected chunk
+// is rolled back whole, so the session stays readable and closeable and
+// a resend of corrected bytes continues the stream.
 func sessionError(w http.ResponseWriter, err error) {
 	var gone *session.GoneError
 	var bp *session.BackpressureError

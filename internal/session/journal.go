@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bytes"
 	"fmt"
 
 	"paco/internal/trace"
@@ -74,24 +73,11 @@ func (j *Journal) Events() ([]trace.Event, error) {
 		}
 	case FormatNDJSON:
 		var rem []byte
-		for _, chunk := range j.chunks {
-			data := chunk
-			if len(rem) > 0 {
-				data = append(append([]byte(nil), rem...), chunk...)
-			}
-			batch, rest, err := DecodeNDJSON(data)
-			if err != nil {
+		for i, chunk := range j.chunks {
+			var err error
+			if evs, rem, err = appendNDJSON(evs, rem, chunk, i == len(j.chunks)-1); err != nil {
 				return nil, err
 			}
-			evs = append(evs, batch...)
-			rem = append(rem[:0], rest...)
-		}
-		if rem = bytes.TrimSpace(rem); len(rem) > 0 {
-			ev, err := parseNDJSONLine(rem)
-			if err != nil {
-				return nil, err
-			}
-			evs = append(evs, ev)
 		}
 	default:
 		return nil, fmt.Errorf("session: unknown journal format %q", j.format)

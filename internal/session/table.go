@@ -300,10 +300,14 @@ func (t *Table) Open(spec Spec, traceID string) (id, key string, norm Spec, err 
 
 // Ingest decodes one chunk in the session's stream format and enqueues
 // the completed events. It returns how many events the chunk completed
-// and the queue depth after the append. On *BackpressureError nothing
-// was consumed: the decoder is rolled back and the client retries the
-// identical bytes. Decode errors are terminal for the session's stream
-// but leave the session readable (and closeable).
+// and the queue depth after the append. A chunk is accepted or rejected
+// whole. On any error — *BackpressureError or a decode error — nothing
+// was consumed: the binary decoder and the NDJSON partial line stay
+// where the previous chunk left them, and the valid events ahead of a
+// bad one are not queued. So the client resends the identical bytes
+// after backpressure, or corrected bytes after a decode error. The
+// router relies on this: its journal records only acknowledged chunks,
+// and replaying them must rebuild the owner's exact state.
 func (t *Table) Ingest(id string, format Format, chunk []byte) (accepted, queued int, err error) {
 	start := time.Now()
 	defer func() { t.metrics.IngestDuration.Observe(time.Since(start).Seconds()) }()
@@ -340,12 +344,8 @@ func (t *Table) Ingest(id string, format Format, chunk []byte) (accepted, queued
 			return 0, e.nqueued, &BackpressureError{RetryAfter: t.retryAfter, Queued: e.nqueued, Limit: t.maxQueued}
 		}
 	case FormatNDJSON:
-		data := chunk
-		if len(e.ndrem) > 0 {
-			data = append(append([]byte(nil), e.ndrem...), chunk...)
-		}
 		var rest []byte
-		evs, rest, err = DecodeNDJSON(data)
+		evs, rest, err = appendNDJSON(nil, e.ndrem, chunk, false)
 		if err != nil {
 			return 0, e.nqueued, err
 		}

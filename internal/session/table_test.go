@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -192,6 +193,94 @@ func TestTableBackpressureLossless(t *testing.T) {
 	}
 	if !reflect.DeepEqual(final, offline) {
 		t.Fatalf("throttled stream diverged from offline replay:\n table   %+v\n offline %+v", final, offline)
+	}
+}
+
+// TestTableRejectedChunkRollsBack: a chunk holding valid events ahead of
+// a bad one is rejected whole, in both formats — no event from it is
+// queued and the stream state (binary decoder, NDJSON partial line)
+// stays where the previous chunk left it — so resending the corrected
+// bytes yields finals byte-identical to offline replay of the corrected
+// stream. Router failover depends on this: its journal holds only
+// acknowledged chunks.
+func TestTableRejectedChunkRollsBack(t *testing.T) {
+	evs := genEvents(29, 600)
+	raw := serialize(t, evs)
+	r, err := trace.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := Replay(r, allKindsSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(offline)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each format's stream bytes, the offset where each event starts,
+	// and a byte that makes the event at that offset undecodable.
+	hdr := len(serialize(t, nil))
+	binOff := make([]int, len(evs))
+	for i := range binOff {
+		binOff[i] = hdr + i*(len(raw)-hdr)/len(evs)
+	}
+	doc := ndjsonDoc(t, evs)
+	ndOff := make([]int, len(evs))
+	for i, off := 1, 0; i < len(evs); i++ {
+		off += bytes.IndexByte(doc[off:], '\n') + 1
+		ndOff[i] = off
+	}
+	for _, tc := range []struct {
+		format  Format
+		stream  []byte
+		offsets []int
+		bad     byte
+	}{
+		{FormatBinary, raw, binOff, 0x7f}, // no such event kind
+		{FormatNDJSON, doc, ndOff, 'x'},   // not JSON
+	} {
+		t.Run(string(tc.format), func(t *testing.T) {
+			tbl := newTestTable(t, TableConfig{Shards: 1})
+			id, _, _, err := tbl.Open(allKindsSpec(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Chunk boundaries fall mid-event, so the rejected chunk
+			// starts and ends inside partial stream state.
+			a, b := tc.offsets[100]+3, tc.offsets[200]+5
+			if n, _, err := tbl.Ingest(id, tc.format, tc.stream[:a]); err != nil || n != 100 {
+				t.Fatalf("first chunk: accepted %d, err %v; want 100", n, err)
+			}
+			corrupt := append([]byte(nil), tc.stream[a:b]...)
+			corrupt[tc.offsets[150]-a] = tc.bad
+			n, queued, err := tbl.Ingest(id, tc.format, corrupt)
+			var bp *BackpressureError
+			if err == nil || errors.As(err, &bp) || n != 0 {
+				t.Fatalf("bad chunk: accepted %d, err %v; want a decode error with 0 accepted", n, err)
+			}
+			sc := waitScores(t, tbl, id, func(sc Scores) bool { return sc.Queued == 0 })
+			if sc.Events != 100 || queued > 100 {
+				t.Fatalf("after the rejected chunk: %d events applied, %d queued; want 100 and nothing from the bad chunk", sc.Events, queued)
+			}
+			for _, chunk := range [][]byte{tc.stream[a:b], tc.stream[b:]} {
+				if _, _, err := tbl.Ingest(id, tc.format, chunk); err != nil {
+					t.Fatalf("corrected resend: %v", err)
+				}
+			}
+			final, err := tbl.Close(id, CloseClient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(final)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("finals after a rejected chunk diverge from offline replay:\n table   %s\n offline %s", got, want)
+			}
+		})
 	}
 }
 
