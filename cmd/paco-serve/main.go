@@ -83,76 +83,122 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	opts, err := configFromFlags(os.Args[1:])
+	if err != nil {
+		// The flag set has printed the error and usage already.
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
+	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "paco-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8344", "listen address (host:port; port 0 picks a free port)")
-	jobWorkers := flag.Int("jobworkers", 2, "campaigns executing concurrently")
-	simWorkers := flag.Int("j", 0, "campaign worker pool per job (0 = GOMAXPROCS)")
-	batchK := flag.Int("batch", 0, "batched lockstep width for campaign cells (0 = default 8, 1 = unbatched; results are byte-identical either way)")
-	queueSize := flag.Int("queue", 64, "bounded job queue size")
-	cacheMB := flag.Int64("cache-mb", 64, "content-addressed cache budget in MiB")
-	cacheDir := flag.String("cache-dir", "", "persist cache entries to this directory")
-	quick := flag.Bool("quick", false, "serve /v1/experiments at the small test-scale configuration")
-	portFile := flag.String("portfile", "", "write the bound address to this file once listening")
-	quiet := flag.Bool("quiet", false, "suppress operational logging")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON objects instead of text")
-	pprofOn := flag.Bool("pprof", false, "expose Go profiling endpoints at /debug/pprof/")
-	sampleEvery := flag.Duration("sample-interval", 0, "metric sampling period for /v1/timeseries and /debug/dash (0 = 1s, negative disables)")
-	sessionMax := flag.Int("session-max", 0, "cap on concurrently open estimator sessions (0 = default 1024)")
-	sessionQueue := flag.Int("session-queue", 0, "queued-event high-water mark per session before ingest sees 429 (0 = default 65536)")
-	sessionTTL := flag.Duration("session-ttl", 0, "evict estimator sessions idle this long (0 = default 5m)")
-	shards := flag.Int("shards", 0, "coordinator mode: split each sweep into up to N shards for federation workers (0 = execute locally)")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "coordinator: re-lease a shard this long after its worker goes silent")
-	routeSessions := flag.Bool("route-sessions", false, "coordinator mode: hash /v1/sessions across federation workers started with -sessions-addr, journaling chunks so sessions fail over when their worker dies")
-	coordinator := flag.String("coordinator", "", "worker mode: lease shards from this coordinator URL instead of serving")
-	workerName := flag.String("worker-name", "", "worker mode: name reported to the coordinator (default hostname-pid)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "worker mode: idle poll interval")
-	sessionsAddr := flag.String("sessions-addr", "", "worker mode: also serve /v1/sessions on this address and advertise it to the coordinator (port 0 picks a free port)")
-	advertise := flag.String("advertise", "", "worker mode: session URL to advertise instead of the bound -sessions-addr (for NAT or container networking)")
-	showVersion := flag.Bool("version", false, "print the build stamp and exit")
-	flag.Parse()
+// options is paco-serve's parsed command line: the server configuration
+// plus the process settings that live outside it.
+type options struct {
+	// cfg configures serve mode; a worker's session endpoint takes the
+	// subset of it that applies there (sessionConfig).
+	cfg server.Config
 
-	if *showVersion {
+	addr, portFile          string
+	quiet, logJSON          bool
+	logLevel                string
+	showVersion             bool
+	coordinator, workerName string
+	poll                    time.Duration
+	sessionsAddr, advertise string
+}
+
+// configFromFlags parses the command line. Parse errors and -h are
+// reported on stderr by the flag set.
+func configFromFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("paco-serve", flag.ContinueOnError)
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&o.addr, "addr", ":8344", "listen address (host:port; port 0 picks a free port)")
+	fs.IntVar(&c.JobWorkers, "jobworkers", 2, "campaigns executing concurrently")
+	fs.IntVar(&c.SimWorkers, "j", 0, "campaign worker pool per job (0 = GOMAXPROCS)")
+	fs.IntVar(&c.BatchK, "batch", 0, "batched lockstep width for campaign cells (0 = default 8, 1 = unbatched; results are byte-identical either way)")
+	fs.IntVar(&c.QueueSize, "queue", 64, "bounded job queue size")
+	cacheMB := fs.Int64("cache-mb", 64, "content-addressed cache budget in MiB")
+	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist cache entries to this directory")
+	quick := fs.Bool("quick", false, "serve /v1/experiments at the small test-scale configuration")
+	fs.StringVar(&o.portFile, "portfile", "", "write the bound address to this file once listening")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress operational logging")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit logs as JSON objects instead of text")
+	fs.BoolVar(&c.EnablePprof, "pprof", false, "expose Go profiling endpoints at /debug/pprof/")
+	fs.DurationVar(&c.SampleInterval, "sample-interval", 0, "metric sampling period for /v1/timeseries and /debug/dash (0 = 1s, negative disables)")
+	fs.IntVar(&c.SessionMaxOpen, "session-max", 0, "cap on concurrently open estimator sessions (0 = default 1024)")
+	fs.IntVar(&c.SessionQueueEvents, "session-queue", 0, "queued-event high-water mark per session before ingest sees 429 (0 = default 65536)")
+	fs.DurationVar(&c.SessionTTL, "session-ttl", 0, "evict estimator sessions idle this long (0 = default 5m)")
+	fs.IntVar(&c.Shards, "shards", 0, "coordinator mode: split each sweep into up to N shards for federation workers (0 = execute locally)")
+	fs.DurationVar(&c.LeaseTTL, "lease-ttl", 30*time.Second, "coordinator: re-lease a shard this long after its worker goes silent")
+	fs.BoolVar(&c.RouteSessions, "route-sessions", false, "coordinator mode: hash /v1/sessions across federation workers started with -sessions-addr, journaling chunks so sessions fail over when their worker dies")
+	fs.StringVar(&o.coordinator, "coordinator", "", "worker mode: lease shards from this coordinator URL instead of serving")
+	fs.StringVar(&o.workerName, "worker-name", "", "worker mode: name reported to the coordinator (default hostname-pid)")
+	fs.DurationVar(&o.poll, "poll", 500*time.Millisecond, "worker mode: idle poll interval")
+	fs.StringVar(&o.sessionsAddr, "sessions-addr", "", "worker mode: also serve /v1/sessions on this address and advertise it to the coordinator (port 0 picks a free port)")
+	fs.StringVar(&o.advertise, "advertise", "", "worker mode: session URL to advertise instead of the bound -sessions-addr (for NAT or container networking)")
+	fs.BoolVar(&o.showVersion, "version", false, "print the build stamp and exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	c.CacheBytes = *cacheMB << 20
+	if *quick {
+		q := experiments.Quick()
+		c.Experiments = &q
+	}
+	return o, nil
+}
+
+// sessionConfig is the configuration of a worker's session endpoint:
+// the serve-mode settings that apply to a server that only hosts
+// sessions.
+func sessionConfig(c server.Config) server.Config {
+	return server.Config{
+		JobWorkers:         c.JobWorkers,
+		SimWorkers:         c.SimWorkers,
+		CacheBytes:         c.CacheBytes,
+		SampleInterval:     c.SampleInterval,
+		SessionMaxOpen:     c.SessionMaxOpen,
+		SessionQueueEvents: c.SessionQueueEvents,
+		SessionTTL:         c.SessionTTL,
+	}
+}
+
+func run(o *options) error {
+	if o.showVersion {
 		version.Fprint(os.Stdout, "paco-serve")
 		return nil
 	}
 
-	logger, levelVar, err := buildLogger(*logLevel, *logJSON)
+	logger, levelVar, err := buildLogger(o.logLevel, o.logJSON)
 	if err != nil {
 		return err
 	}
-	if *coordinator != "" {
+	if o.coordinator != "" {
 		wcfg := server.WorkerConfig{
-			Coordinator: *coordinator,
-			Name:        *workerName,
-			SimWorkers:  *simWorkers,
-			BatchK:      *batchK,
-			Poll:        *poll,
-			Log:         workerLog(logger, *quiet),
+			Coordinator: o.coordinator,
+			Name:        o.workerName,
+			SimWorkers:  o.cfg.SimWorkers,
+			BatchK:      o.cfg.BatchK,
+			Poll:        o.poll,
+			Log:         workerLog(logger, o.quiet),
 		}
 		var sess *sessionServer
-		if *sessionsAddr != "" {
-			scfg := server.Config{
-				JobWorkers:         *jobWorkers,
-				SimWorkers:         *simWorkers,
-				CacheBytes:         *cacheMB << 20,
-				LogLevel:           levelVar,
-				SampleInterval:     *sampleEvery,
-				SessionMaxOpen:     *sessionMax,
-				SessionQueueEvents: *sessionQueue,
-				SessionTTL:         *sessionTTL,
-			}
-			if !*quiet {
+		if o.sessionsAddr != "" {
+			scfg := sessionConfig(o.cfg)
+			scfg.LogLevel = levelVar
+			if !o.quiet {
 				scfg.Log = logger
 			}
 			var err error
-			sess, err = startSessionServer(*sessionsAddr, *advertise, scfg, *portFile)
+			sess, err = startSessionServer(o.sessionsAddr, o.advertise, scfg, o.portFile)
 			if err != nil {
 				return err
 			}
@@ -162,29 +208,9 @@ func run() error {
 		return runWorker(wcfg, sess, logger)
 	}
 
-	cfg := server.Config{
-		JobWorkers:     *jobWorkers,
-		SimWorkers:     *simWorkers,
-		BatchK:         *batchK,
-		QueueSize:      *queueSize,
-		CacheBytes:     *cacheMB << 20,
-		CacheDir:       *cacheDir,
-		Shards:         *shards,
-		LeaseTTL:       *leaseTTL,
-		RouteSessions:  *routeSessions,
-		EnablePprof:    *pprofOn,
-		LogLevel:       levelVar,
-		SampleInterval: *sampleEvery,
-
-		SessionMaxOpen:     *sessionMax,
-		SessionQueueEvents: *sessionQueue,
-		SessionTTL:         *sessionTTL,
-	}
-	if *quick {
-		q := experiments.Quick()
-		cfg.Experiments = &q
-	}
-	if !*quiet {
+	cfg := o.cfg
+	cfg.LogLevel = levelVar
+	if !o.quiet {
 		cfg.Log = logger
 	}
 
@@ -194,23 +220,23 @@ func run() error {
 	}
 	s.Start()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	bound := ln.Addr().String()
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(bound), 0o644); err != nil {
+	if o.portFile != "" {
+		if err := os.WriteFile(o.portFile, []byte(bound), 0o644); err != nil {
 			ln.Close()
 			return err
 		}
 	}
 	mode := "local"
-	if *shards >= 1 {
-		mode = fmt.Sprintf("coordinator (up to %d shards per sweep)", *shards)
+	if cfg.Shards >= 1 {
+		mode = fmt.Sprintf("coordinator (up to %d shards per sweep)", cfg.Shards)
 	}
 	logger.Info("listening", "addr", bound, "version", version.Get().String(),
-		"experiments", map[bool]string{false: "full", true: "quick"}[*quick], "mode", mode)
+		"experiments", map[bool]string{false: "full", true: "quick"}[cfg.Experiments != nil], "mode", mode)
 
 	httpServer := &http.Server{
 		Handler:           s.Handler(),

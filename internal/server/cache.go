@@ -203,16 +203,34 @@ func validKey(name string) bool {
 // Get returns the stored bytes for key and records a hit or miss. The
 // returned slice is shared; callers must not modify it.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	data, ok := c.Lookup(key)
+	c.Count(ok)
+	return data, ok
+}
+
+// Lookup is Get without the hit/miss accounting, for callers that must
+// check the stored bytes before the lookup counts as a hit: they record
+// their verdict with Count.
+func (c *Cache) Lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).data, true
+}
+
+// Count records one lookup outcome.
+func (c *Cache) Count(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 }
 
 // Put stores data under key, evicting least-recently-used entries until

@@ -268,12 +268,14 @@ func (f *federation) distribute(ctx context.Context, campaignID, trace string, p
 		}
 		for _, sh := range gridShards {
 			p := planned{id: sh.ID(), lo: sh.Lo, hi: sh.Hi}
-			if data, ok := f.cache.Get(shardCacheKey(p.id)); ok {
+			if data, ok := f.cache.Lookup(shardCacheKey(p.id)); ok {
 				var results []campaign.Result
 				if err := json.Unmarshal(data, &results); err == nil && len(results) == p.hi-p.lo {
 					p.cached = results
 				}
 			}
+			// An entry that does not decode counts as the miss it is.
+			f.cache.Count(p.cached != nil)
 			f.obs.lookup("shard", p.cached != nil)
 			plan = append(plan, p)
 		}

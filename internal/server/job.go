@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
@@ -44,6 +45,14 @@ type job struct {
 	results   []campaign.Result
 	summary   *campaign.Summary
 	errMsg    string
+
+	// stored is a cache hit's results array exactly as the cache holds
+	// it (compact JSON). It is set before the job is registered and never
+	// changes, so the POST answering the hit reads it without j.mu.
+	// Typed readers decode it into results on first use (resultsLocked).
+	stored    json.RawMessage
+	decoded   bool
+	decodeErr error
 
 	subs   map[chan sseEvent]struct{}
 	doneCh chan struct{} // closed when the job reaches a terminal state
@@ -135,9 +144,24 @@ func (j *job) status(withResults bool) JobStatus {
 		st.Cells.Done = j.cells
 	}
 	if withResults && j.state == stateDone {
-		st.Results = j.results
+		var err error
+		if st.Results, err = j.resultsLocked(); err != nil {
+			st.Error = err.Error()
+		}
 	}
 	return st
+}
+
+// resultsLocked returns the job's typed results, decoding a cache hit's
+// stored bytes on first use (at most once). j.mu must be held.
+func (j *job) resultsLocked() ([]campaign.Result, error) {
+	if j.stored != nil && !j.decoded {
+		j.decoded = true
+		if err := json.Unmarshal(j.stored, &j.results); err != nil {
+			j.decodeErr = fmt.Errorf("decoding cached results: %w", err)
+		}
+	}
+	return j.results, j.decodeErr
 }
 
 // terminal reports whether the job has settled.
@@ -174,14 +198,16 @@ func (j *job) shardProgress(cellsDone int, shardID string) {
 	j.publish("progress", ev)
 }
 
-// resultsIfDone returns the job's result slice once it completed.
-func (j *job) resultsIfDone() ([]campaign.Result, bool) {
+// resultsIfDone returns the job's result slice once it completed; err
+// reports cached results that do not decode.
+func (j *job) resultsIfDone() (results []campaign.Result, done bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != stateDone {
-		return nil, false
+		return nil, false, nil
 	}
-	return j.results, true
+	results, err = j.resultsLocked()
+	return results, true, err
 }
 
 // progress relays one campaign progress callback to SSE subscribers.
@@ -223,14 +249,15 @@ func (j *job) fail(msg string, summary *campaign.Summary) {
 }
 
 // completeFromCache marks a freshly created job as answered by the
-// content-addressed cache: born done, no simulation behind it.
-func (j *job) completeFromCache(results []campaign.Result, summary campaign.Summary) {
+// content-addressed cache: born done, no simulation behind it. The
+// stored results stay undecoded until a typed reader needs them.
+func (j *job) completeFromCache(stored json.RawMessage, summary campaign.Summary) {
 	j.mu.Lock()
 	j.fromCache = "hit"
 	j.state = stateDone
 	now := time.Now().UTC()
 	j.started, j.finished = now, now
-	j.results = results
+	j.stored = stored
 	j.summary = &summary
 	j.mu.Unlock()
 	close(j.doneCh)

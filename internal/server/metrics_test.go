@@ -50,6 +50,7 @@ var newMetricNames = []string{
 	"paco_http_requests_total",
 	"paco_http_request_duration_seconds",
 	"paco_cache_lookups_total",
+	"paco_job_admit_duration_seconds",
 	"paco_session_open",
 	"paco_session_queued_events",
 	"paco_session_opened_total",

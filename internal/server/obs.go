@@ -50,6 +50,10 @@ type serverObs struct {
 	// Content-addressed lookup outcomes by kind (job, shard, experiment).
 	cacheLookups *obs.CounterVec
 
+	// POST /v1/jobs receipt to response written, by cache verdict
+	// (hit, inflight, miss).
+	admitDuration *obs.HistogramVec
+
 	// sessionMetrics are the push instruments the /v1/sessions table
 	// writes into (paco_session_*); the open/queued gauges scrape the
 	// table directly.
@@ -160,6 +164,9 @@ func newServerObs(s *Server, logger *slog.Logger, flightSpans int) *serverObs {
 		"HTTP request duration by mux route.", "route", obs.DurationBuckets())
 	o.cacheLookups = r.CounterVec("paco_cache_lookups_total",
 		"Content-addressed lookups by kind (job, shard, experiment) and outcome.", "kind", "outcome")
+	o.admitDuration = r.HistogramVec("paco_job_admit_duration_seconds",
+		"Seconds from POST /v1/jobs receipt to response written, by cache verdict (hit, inflight, miss).",
+		"cache", obs.DurationBuckets())
 	// Per-run throughput as a distribution (not just the cumulative and
 	// last-run gauges above): buckets span ~1e2..1e7 kcycles/sec.
 	rateHist := r.Histogram("paco_sim_job_kcycles_per_sec",

@@ -146,10 +146,14 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
 		return
 	}
-	results, done := j.resultsIfDone()
+	results, done, err := j.resultsIfDone()
 	if !done {
 		errorJSON(w, http.StatusConflict,
 			"campaign %s has not completed (status %q)", j.id, j.status(false).Status)
+		return
+	}
+	if err != nil {
+		errorJSON(w, http.StatusInternalServerError, "campaign %s: %v", j.id, err)
 		return
 	}
 	report := CampaignReport{

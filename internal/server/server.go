@@ -159,7 +159,8 @@ type Server struct {
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*job
-	jobOrder []string        // job ids in creation order, for MaxJobs eviction
+	jobOrder []*job          // records not yet passed by MaxJobs eviction, oldest first
+	held     []*job          // records eviction passed while unsettled, oldest first
 	inflight map[string]*job // content key -> executing/queued job
 	nextID   uint64
 
@@ -414,6 +415,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // it, and answer from the cache, an in-flight duplicate, or a fresh
 // enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	body, ok := readBody(w, r, 1<<20, "reading body")
 	if !ok {
 		return
@@ -458,18 +460,53 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	status := http.StatusAccepted
-	if outcome == "hit" {
-		status = http.StatusOK
-	}
-	st := j.status(outcome == "hit")
+	writeAdmission(w, j, outcome)
+	s.obs.admitDuration.With(outcome).Observe(time.Since(start).Seconds())
+}
+
+// writeAdmission answers an admitted submission with the job's status:
+// 200 with the results for a hit, 202 without them otherwise.
+func writeAdmission(w http.ResponseWriter, j *job, outcome string) {
+	st := j.status(false)
 	if outcome == "inflight" {
 		// Single-flighted onto an earlier submission: report where that
 		// job stands, but the cache verdict for this request.
 		st.Cache = "inflight"
 	}
 	w.Header().Set(obs.TraceHeader, st.Trace)
-	writeJSON(w, status, st)
+	if outcome != "hit" {
+		writeJSON(w, http.StatusAccepted, st)
+		return
+	}
+	body := hitBody(st, j.stored)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// hitBody renders a hit's response: st (its status without results)
+// with the stored results spliced in, byte-identical to what
+// writeJSON(st with the decoded results) writes. MarshalIndent is
+// writeJSON's encoding without the trailing newline; "results" is the
+// last member a hit's status renders (its error is empty, and a grid
+// has at least one cell); and the stored bytes are json.Marshal of the
+// results, which re-encoding their decoded form reproduces, so indenting
+// them one level deep yields the encoder's bytes.
+func hitBody(st JobStatus, stored json.RawMessage) []byte {
+	head, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		panic(err) // a JobStatus of plain fields always marshals
+	}
+	// Indenting a sweep's results a level deep a little more than
+	// doubles them; size the buffer so that takes one allocation.
+	buf := bytes.NewBuffer(make([]byte, 0, len(head)+3*len(stored)))
+	buf.Write(head[:len(head)-len("\n}")])
+	buf.WriteString(",\n  \"results\": ")
+	if err := json.Indent(buf, stored, "  ", "  "); err != nil {
+		panic(err) // parseStored validated the entry
+	}
+	buf.WriteString("\n}\n")
+	return buf.Bytes()
 }
 
 // specKey computes the content address of a normalized grid: SHA-256
@@ -488,8 +525,31 @@ func specKey(grid campaign.Grid) (string, error) {
 	return Key([]byte("job"), canon), nil
 }
 
-// submit implements the content-addressed admission path. Exactly one of
-// the three outcomes happens under the lock:
+// storedHit is a cached job entry as admission reads it: the results
+// array exactly as stored, not decoded, and the summary. The stored
+// spec is skipped; the request's own grid has the same content address.
+type storedHit struct {
+	Results json.RawMessage  `json:"results"`
+	Summary campaign.Summary `json:"summary"`
+}
+
+// parseStored reads a cached job entry, or returns nil when it is not
+// one (a foreign or damaged file in the persistence dir): such a lookup
+// counts as a miss and the job is simulated again, rewriting the entry.
+func parseStored(data []byte) *storedHit {
+	var h storedHit
+	if json.Unmarshal(data, &h) != nil {
+		return nil
+	}
+	if len(h.Results) == 0 || h.Results[0] != '[' {
+		return nil
+	}
+	return &h
+}
+
+// submit implements the content-addressed admission path. The cache
+// entry is read and parsed before taking s.mu; then exactly one of three
+// outcomes happens under the lock:
 //
 //   - "hit": the canonical spec is in the cache — a pre-completed job
 //     record is created from the stored bytes, nothing is enqueued.
@@ -497,25 +557,44 @@ func specKey(grid campaign.Grid) (string, error) {
 //     submission single-flights onto that job.
 //   - "miss": a fresh job is enqueued.
 func (s *Server) submit(grid campaign.Grid, key string, cells int, trace string) (*job, string, error) {
+	for {
+		var hit *storedHit
+		data, stored := s.cache.Lookup(key)
+		if stored {
+			hit = parseStored(data)
+		}
+		j, outcome, err := s.admit(grid, key, cells, trace, hit, stored)
+		if outcome != "" || err != nil {
+			return j, outcome, err
+		}
+		// The entry was stored between the lookup and the lock: read it.
+	}
+}
+
+// admit settles a submission under s.mu given its cache entry (stored
+// reports one exists, hit is it parsed). An empty outcome means a job
+// for the key completed since the lookup, and the caller looks again.
+func (s *Server) admit(grid campaign.Grid, key string, cells int, trace string, hit *storedHit, stored bool) (*job, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, "", errors.New("server is shutting down")
 	}
-	data, cached := s.cache.Get(key)
-	s.obs.lookup("job", cached)
-	if cached {
-		var payload cachedPayload
-		if err := json.Unmarshal(data, &payload); err == nil {
-			j := newJob(s.nextIDLocked(), key, grid, cells, trace)
-			j.completeFromCache(payload.Results, payload.Summary)
-			s.registerJobLocked(j)
-			return j, "hit", nil
-		}
-		// Undecodable cache entry (e.g. foreign file in the persistence
-		// dir that happened to parse as a key): fall through to simulate.
-		s.obs.log.Warn("cache entry undecodable; re-simulating", "key", short(key))
+	if hit != nil {
+		s.countLookup(true)
+		j := newJob(s.nextIDLocked(), key, grid, cells, trace)
+		j.completeFromCache(hit.Results, hit.Summary)
+		s.registerJobLocked(j)
+		return j, "hit", nil
 	}
+	if stored {
+		s.obs.log.Warn("cache entry undecodable; re-simulating", "key", short(key))
+	} else if _, ok := s.cache.Lookup(key); ok {
+		// runJob caches before it leaves s.inflight, so a job finishing
+		// after the lookup is caught here rather than simulated again.
+		return nil, "", nil
+	}
+	s.countLookup(false)
 	if exist, ok := s.inflight[key]; ok {
 		return exist, "inflight", nil
 	}
@@ -530,6 +609,13 @@ func (s *Server) submit(grid campaign.Grid, key string, cells int, trace string)
 	return j, "miss", nil
 }
 
+// countLookup records a job cache lookup's verdict in both the cache's
+// counters and the lookup-outcome family.
+func (s *Server) countLookup(hit bool) {
+	s.cache.Count(hit)
+	s.obs.lookup("job", hit)
+}
+
 func (s *Server) nextIDLocked() string {
 	s.nextID++
 	return fmt.Sprintf("j-%06d", s.nextID)
@@ -539,26 +625,36 @@ func (s *Server) nextIDLocked() string {
 // beyond MaxJobs, the oldest settled jobs are forgotten (their results
 // remain reachable through the content-addressed cache). Queued and
 // running jobs are kept regardless — they are bounded by the queue and
-// worker pool.
+// worker pool. Eviction passes each record once, oldest first; one it
+// passes unsettled waits in s.held, where later rounds look again
+// before anything newer. A round therefore costs the records it evicts
+// plus the held ones, not the whole table.
 func (s *Server) registerJobLocked(j *job) {
 	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
+	s.jobOrder = append(s.jobOrder, j)
 	if len(s.jobs) <= s.cfg.MaxJobs {
 		return
 	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		old := s.jobs[id]
-		if old == nil {
-			continue
-		}
+	kept := s.held[:0]
+	for _, old := range s.held {
 		if len(s.jobs) > s.cfg.MaxJobs && old.terminal() {
-			delete(s.jobs, id)
+			delete(s.jobs, old.id)
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, old)
 	}
-	s.jobOrder = kept
+	clear(s.held[len(kept):])
+	s.held = kept
+	for len(s.jobs) > s.cfg.MaxJobs && len(s.jobOrder) > 0 {
+		old := s.jobOrder[0]
+		s.jobOrder[0] = nil // let the evicted record go
+		s.jobOrder = s.jobOrder[1:]
+		if old.terminal() {
+			delete(s.jobs, old.id)
+		} else {
+			s.held = append(s.held, old)
+		}
+	}
 }
 
 // worker executes queued jobs until the queue closes.
@@ -688,9 +784,13 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	results, done := j.resultsIfDone()
+	results, done, err := j.resultsIfDone()
 	if !done {
 		errorJSON(w, http.StatusConflict, "job %s has not finished", j.id)
+		return
+	}
+	if err != nil {
+		errorJSON(w, http.StatusInternalServerError, "job %s: %v", j.id, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

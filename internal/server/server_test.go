@@ -443,6 +443,50 @@ func TestMaxJobsEviction(t *testing.T) {
 	if got := s.SimulationsRun(); got != 3 {
 		t.Fatalf("simulations = %d, want 3", got)
 	}
+
+	// A job still running at the head of the table does not shield the
+	// settled records behind it: they are evicted around it, and the
+	// table holds MaxJobs records, the live one among them. A
+	// coordinator with no workers keeps its job running.
+	fs, fts := testServer(t, Config{MaxJobs: 2, Shards: 1})
+	running, _ := postJob(t, fts, tinySpec)
+	var hits []string
+	for n := 1; n <= 5; n++ {
+		grid, _ := sweepPayload(t, fs, n)
+		spec, err := json.Marshal(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, code := postJob(t, fts, string(spec))
+		if code != http.StatusOK || st.Cache != "hit" {
+			t.Fatalf("stored grid %d POST = %d %q, want a hit", n, code, st.Cache)
+		}
+		hits = append(hits, st.ID)
+		fs.mu.Lock()
+		records, tracked := len(fs.jobs), len(fs.jobOrder)+len(fs.held)
+		fs.mu.Unlock()
+		if records > 2 || tracked != records {
+			t.Fatalf("after hit %d: %d records, %d tracked for eviction; want at most 2, all tracked", n, records, tracked)
+		}
+	}
+	live := []string{running.ID, hits[len(hits)-1]}
+	for _, id := range append(live, hits[:len(hits)-1]...) {
+		resp, err := http.Get(fts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusNotFound
+		if id == live[0] || id == live[1] {
+			want = http.StatusOK
+		}
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+	if st := jobByID(t, fs, running.ID).status(false); st.Status == stateDone || st.Status == stateFailed {
+		t.Fatalf("the head job settled (%s); the test needs it live", st.Status)
+	}
 }
 
 // TestGridTooLarge rejects sweeps beyond the configured cell limit.
