@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,30 +24,43 @@ import (
 	"paco/internal/version"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "use the small test-scale configuration")
-	out := flag.String("out", "", "write the report to a file instead of stdout")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker pool size")
-	showVersion := flag.Bool("version", false, "print the build stamp and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning its exit status: 0 on
+// success or -h, 2 on a flag error (the flag package's convention), 1 when
+// the report cannot be written or an experiment fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paco-repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "use the small test-scale configuration")
+	out := fs.String("out", "", "write the report to a file instead of stdout")
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "simulation worker pool size")
+	showVersion := fs.Bool("version", false, "print the build stamp and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *showVersion {
-		version.Fprint(os.Stdout, "paco-repro")
-		return
+		version.Fprint(stdout, "paco-repro")
+		return 0
 	}
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
 	}
 	cfg.Workers = *jobs
-	var w io.Writer = os.Stdout
+	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paco-repro:", err)
-			os.Exit(1)
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "paco-repro:", err)
+			return 1
 		}
-		defer f.Close()
+		defer f.Close() // error paths; success checks Close below
 		w = f
 	}
 	total := time.Now()
@@ -55,13 +69,20 @@ func main() {
 		start := time.Now()
 		fmt.Fprintf(w, "==================== %s ====================\n", name)
 		if err := experiments.Run(name, cfg, w); err != nil {
-			fmt.Fprintln(os.Stderr, "paco-repro:", name, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "paco-repro:", name, err)
+			return 1
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(os.Stderr, "[%s: %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s: %v]\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(stderr, "paco-repro:", err)
+			return 1
+		}
 	}
 	// The footer goes to stderr, not the report: timing varies run to
 	// run, and the report itself must stay byte-identical at any -j.
-	fmt.Fprintf(os.Stderr, "[total: %v at -j %d]\n", time.Since(total).Round(time.Millisecond), *jobs)
+	fmt.Fprintf(stderr, "[total: %v at -j %d]\n", time.Since(total).Round(time.Millisecond), *jobs)
+	return 0
 }

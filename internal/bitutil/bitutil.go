@@ -63,6 +63,59 @@ func (c *SatCounter) AtMax() bool { return c.value == c.max }
 // of a 2-bit direction counter.
 func (c *SatCounter) MSB() bool { return c.value > c.max/2 }
 
+// CounterTable is a table of n-bit saturating counters (width 1..8)
+// stored one byte per counter, the size a hardware table of such counters
+// rounds up to. Counter i behaves exactly like a SatCounter of the same
+// width. Direction predictors and the JRS table are CounterTables; the
+// MRT's wider counters stay SatCounters.
+type CounterTable struct {
+	counters []uint8
+	max      uint8
+}
+
+// NewCounterTable returns a table of entries counters of the given width
+// in bits (1..8), each starting at initial (clamped to range).
+func NewCounterTable(entries int, widthBits uint, initial uint32) CounterTable {
+	if widthBits == 0 || widthBits > 8 {
+		panic("bitutil: CounterTable width out of range")
+	}
+	t := CounterTable{counters: make([]uint8, entries), max: uint8(1<<widthBits - 1)}
+	v := uint8(min(initial, uint32(t.max)))
+	for i := range t.counters {
+		t.counters[i] = v
+	}
+	return t
+}
+
+// Inc increments counter i, saturating at the maximum.
+func (t *CounterTable) Inc(i uint64) {
+	if t.counters[i] < t.max {
+		t.counters[i]++
+	}
+}
+
+// Dec decrements counter i, saturating at zero.
+func (t *CounterTable) Dec(i uint64) {
+	if t.counters[i] > 0 {
+		t.counters[i]--
+	}
+}
+
+// Reset sets counter i to zero.
+func (t *CounterTable) Reset(i uint64) { t.counters[i] = 0 }
+
+// Set forces counter i to v (clamped to range).
+func (t *CounterTable) Set(i uint64, v uint32) { t.counters[i] = uint8(min(v, uint32(t.max))) }
+
+// Value returns counter i's current count.
+func (t *CounterTable) Value(i uint64) uint32 { return uint32(t.counters[i]) }
+
+// AtMax reports whether counter i is saturated high.
+func (t *CounterTable) AtMax(i uint64) bool { return t.counters[i] == t.max }
+
+// MSB reports counter i's most significant bit, as SatCounter.MSB.
+func (t *CounterTable) MSB(i uint64) bool { return t.counters[i] > t.max/2 }
+
 // LogScale is the fixed-point scale of encoded probabilities: the paper
 // multiplies -log2(p) by 1024 (Equation 3).
 const LogScale = 1024

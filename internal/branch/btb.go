@@ -7,9 +7,10 @@ package branch
 // paper. Badpath fills pollute the BTB, which is one of the pollution
 // effects the paper observes conservative gating removing.
 type BTB struct {
-	sets    [][]btbEntry
+	entries []btbEntry // set s is entries[s*ways : (s+1)*ways]
 	setMask uint64
 	ways    int
+	lruTick uint64 // strictly increasing recency stamp
 
 	lookups uint64
 	hits    uint64
@@ -29,24 +30,17 @@ func NewBTB(entries, ways int) *BTB {
 		panic("branch: BTB ways must be positive")
 	}
 	setCount := nextPow2(entries / ways)
-	if setCount < 1 {
-		setCount = 1
-	}
-	b := &BTB{
-		sets:    make([][]btbEntry, setCount),
+	return &BTB{
+		entries: make([]btbEntry, setCount*ways),
 		setMask: uint64(setCount - 1),
 		ways:    ways,
 	}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, ways)
-	}
-	return b
 }
 
 func (b *BTB) setFor(pc uint64) ([]btbEntry, uint64) {
-	idx := (pc >> 2) & b.setMask
+	base := int((pc>>2)&b.setMask) * b.ways
 	tag := pc >> 2 >> uint64(len64(b.setMask))
-	return b.sets[idx], tag
+	return b.entries[base : base+b.ways : base+b.ways], tag
 }
 
 // Lookup returns the predicted target for pc, and whether an entry exists.
@@ -86,14 +80,12 @@ func (b *BTB) Insert(pc, target uint64) {
 	b.touch(set, victim)
 }
 
+// touch stamps entry i as the set's most recently used. The table-wide
+// tick only increases, so the stamp exceeds every live entry's and LRU
+// order stays exact without scanning the set (as in cache.Cache).
 func (b *BTB) touch(set []btbEntry, i int) {
-	maxLRU := uint64(0)
-	for j := range set {
-		if set[j].lru > maxLRU {
-			maxLRU = set[j].lru
-		}
-	}
-	set[i].lru = maxLRU + 1
+	b.lruTick++
+	set[i].lru = b.lruTick
 }
 
 // Stats returns lifetime lookup and hit counts.

@@ -18,7 +18,7 @@ type DirectionPredictor interface {
 // Bimodal is a classic table of 2-bit saturating counters indexed by the
 // low bits of the branch PC.
 type Bimodal struct {
-	counters []bitutil.SatCounter
+	counters bitutil.CounterTable
 	mask     uint64
 }
 
@@ -26,46 +26,38 @@ type Bimodal struct {
 // (rounded up to a power of two). Counters initialize to weakly taken.
 func NewBimodal(entries int) *Bimodal {
 	n := nextPow2(entries)
-	b := &Bimodal{counters: make([]bitutil.SatCounter, n), mask: uint64(n - 1)}
-	for i := range b.counters {
-		b.counters[i] = bitutil.NewSatCounter(2, 2)
-	}
-	return b
+	return &Bimodal{counters: bitutil.NewCounterTable(n, 2, 2), mask: uint64(n - 1)}
 }
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
 
 // Predict implements DirectionPredictor.
 func (b *Bimodal) Predict(pc uint64, _ uint32) bool {
-	return b.counters[b.index(pc)].MSB()
+	return b.counters.MSB(b.index(pc))
 }
 
 // Update implements DirectionPredictor.
 func (b *Bimodal) Update(pc uint64, _ uint32, taken bool) {
-	c := &b.counters[b.index(pc)]
+	i := b.index(pc)
 	if taken {
-		c.Inc()
+		b.counters.Inc(i)
 	} else {
-		c.Dec()
+		b.counters.Dec(i)
 	}
 }
 
 // Gshare XORs the branch PC with the global history to index a table of
 // 2-bit counters, capturing history-correlated behaviour.
 type Gshare struct {
-	counters []bitutil.SatCounter
+	counters bitutil.CounterTable
 	mask     uint64
 }
 
 // NewGshare returns a gshare predictor with the given number of entries
-// (rounded up to a power of two).
+// (rounded up to a power of two). Counters initialize to weakly taken.
 func NewGshare(entries int) *Gshare {
 	n := nextPow2(entries)
-	g := &Gshare{counters: make([]bitutil.SatCounter, n), mask: uint64(n - 1)}
-	for i := range g.counters {
-		g.counters[i] = bitutil.NewSatCounter(2, 2)
-	}
-	return g
+	return &Gshare{counters: bitutil.NewCounterTable(n, 2, 2), mask: uint64(n - 1)}
 }
 
 func (g *Gshare) index(pc uint64, history uint32) uint64 {
@@ -74,16 +66,16 @@ func (g *Gshare) index(pc uint64, history uint32) uint64 {
 
 // Predict implements DirectionPredictor.
 func (g *Gshare) Predict(pc uint64, history uint32) bool {
-	return g.counters[g.index(pc, history)].MSB()
+	return g.counters.MSB(g.index(pc, history))
 }
 
 // Update implements DirectionPredictor.
 func (g *Gshare) Update(pc uint64, history uint32, taken bool) {
-	c := &g.counters[g.index(pc, history)]
+	i := g.index(pc, history)
 	if taken {
-		c.Inc()
+		g.counters.Inc(i)
 	} else {
-		c.Dec()
+		g.counters.Dec(i)
 	}
 }
 
@@ -93,7 +85,7 @@ func (g *Gshare) Update(pc uint64, history uint32, taken bool) {
 type Tournament struct {
 	gshare   *Gshare
 	bimodal  *Bimodal
-	selector []bitutil.SatCounter
+	selector bitutil.CounterTable
 	selMask  uint64
 }
 
@@ -106,8 +98,10 @@ type TournamentConfig struct {
 	SelectorEntries int
 }
 
-// DefaultTournamentConfig is the paper's Table 6 predictor: 96KB hybrid
-// made of 32KB gshare + 32KB bimodal + 32KB selector.
+// DefaultTournamentConfig is the paper's Table 6 predictor: a 96KB hybrid
+// made of 32KB gshare + 32KB bimodal + 32KB selector, i.e. 128K 2-bit
+// counters per table. The simulator stores each 2-bit counter in one
+// byte (bitutil.CounterTable), so the same tables occupy 384KiB here.
 func DefaultTournamentConfig() TournamentConfig {
 	const entriesPer32KB = 32 * 1024 * 4 // 4 two-bit counters per byte
 	return TournamentConfig{
@@ -124,11 +118,8 @@ func NewTournament(cfg TournamentConfig) *Tournament {
 	t := &Tournament{
 		gshare:   NewGshare(cfg.GshareEntries),
 		bimodal:  NewBimodal(cfg.BimodalEntries),
-		selector: make([]bitutil.SatCounter, n),
+		selector: bitutil.NewCounterTable(n, 2, 2), // MSB set: use gshare
 		selMask:  uint64(n - 1),
-	}
-	for i := range t.selector {
-		t.selector[i] = bitutil.NewSatCounter(2, 2) // MSB set: use gshare
 	}
 	return t
 }
@@ -139,7 +130,7 @@ func (t *Tournament) selIndex(pc uint64, history uint32) uint64 {
 
 // Predict implements DirectionPredictor.
 func (t *Tournament) Predict(pc uint64, history uint32) bool {
-	if t.selector[t.selIndex(pc, history)].MSB() {
+	if t.selector.MSB(t.selIndex(pc, history)) {
 		return t.gshare.Predict(pc, history)
 	}
 	return t.bimodal.Predict(pc, history)
@@ -151,11 +142,11 @@ func (t *Tournament) Update(pc uint64, history uint32, taken bool) {
 	gp := t.gshare.Predict(pc, history)
 	bp := t.bimodal.Predict(pc, history)
 	if gp != bp {
-		sel := &t.selector[t.selIndex(pc, history)]
+		i := t.selIndex(pc, history)
 		if gp == taken {
-			sel.Inc()
+			t.selector.Inc(i)
 		} else {
-			sel.Dec()
+			t.selector.Dec(i)
 		}
 	}
 	t.gshare.Update(pc, history, taken)

@@ -9,7 +9,8 @@ package cache
 // Cache is one set-associative cache level with LRU replacement.
 type Cache struct {
 	name      string
-	sets      [][]line
+	lines     []line // set s is lines[s*ways : (s+1)*ways]
+	ways      int
 	setMask   uint64
 	lineShift uint
 	tagShift  uint
@@ -22,10 +23,11 @@ type Cache struct {
 	badEvictions uint64 // goodpath-touched lines evicted by badpath fills
 }
 
+// line packs into 24 bytes: the two words first, then the three flags.
 type line struct {
-	valid    bool
 	tag      uint64
 	lru      uint64
+	valid    bool
 	badFill  bool // line was filled by a badpath access
 	goodUsed bool // line has been touched by a goodpath access
 }
@@ -52,17 +54,14 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		name:      cfg.Name,
-		sets:      make([][]line, setCount),
+		lines:     make([]line, setCount*cfg.Ways),
+		ways:      cfg.Ways,
 		setMask:   uint64(setCount - 1),
 		lineShift: shift,
 		tagShift:  uint(popcount(uint64(setCount - 1))),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
 }
 
 // Access looks up addr, filling on miss. badpath marks the access as
@@ -73,7 +72,8 @@ func (c *Cache) Access(addr uint64, badpath bool) bool {
 		c.badAccesses++
 	}
 	blk := addr >> c.lineShift
-	set := c.sets[blk&c.setMask]
+	base := int(blk&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways : base+c.ways]
 	tag := blk >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {

@@ -26,7 +26,7 @@ const NumBuckets = MDCMax + 1
 // JRS is the enhanced JRS confidence table: 8KB of 4-bit MDCs = 16384
 // entries, indexed by (PC >> 2) XOR global-history XOR predicted-direction.
 type JRS struct {
-	mdcs     []bitutil.SatCounter
+	mdcs     bitutil.CounterTable
 	mask     uint64
 	enhanced bool
 }
@@ -53,15 +53,11 @@ func New(cfg Config) *JRS {
 	for n < cfg.Entries {
 		n <<= 1
 	}
-	j := &JRS{
-		mdcs:     make([]bitutil.SatCounter, n),
+	return &JRS{
+		mdcs:     bitutil.NewCounterTable(n, MDCBits, 0),
 		mask:     uint64(n - 1),
 		enhanced: cfg.Enhanced,
 	}
-	for i := range j.mdcs {
-		j.mdcs[i] = bitutil.NewSatCounter(MDCBits, 0)
-	}
-	return j
 }
 
 func (j *JRS) index(pc uint64, history uint32, predictedTaken bool) uint64 {
@@ -75,7 +71,7 @@ func (j *JRS) index(pc uint64, history uint32, predictedTaken bool) uint64 {
 // MDC returns the miss distance counter value for a branch at prediction
 // time. The value doubles as PaCo's stratification bucket.
 func (j *JRS) MDC(pc uint64, history uint32, predictedTaken bool) uint32 {
-	return j.mdcs[j.index(pc, history, predictedTaken)].Value()
+	return j.mdcs.Value(j.index(pc, history, predictedTaken))
 }
 
 // Update trains the table with a resolved branch: the entry's MDC is
@@ -83,11 +79,11 @@ func (j *JRS) MDC(pc uint64, history uint32, predictedTaken bool) uint32 {
 // mispredict. pc/history/predictedTaken must be the values used at
 // prediction time.
 func (j *JRS) Update(pc uint64, history uint32, predictedTaken, correct bool) {
-	c := &j.mdcs[j.index(pc, history, predictedTaken)]
+	i := j.index(pc, history, predictedTaken)
 	if correct {
-		c.Inc()
+		j.mdcs.Inc(i)
 	} else {
-		c.Reset()
+		j.mdcs.Reset(i)
 	}
 }
 

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,5 +120,34 @@ func TestBatchRunZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Batch.Run allocates %.2f times per 1000-instruction quantum in steady state, want 0", allocs)
+	}
+}
+
+// maxCoreBytes bounds the heap one default core allocates at construction.
+// The predictor, JRS table, caches and BTB store about 0.6 MiB of state.
+const maxCoreBytes = 1 << 20
+
+// TestCoreNewFootprint pins the construction footprint of New(DefaultConfig())
+// under maxCoreBytes, so a counter table that regrows past one byte per
+// counter, or a per-set allocation, fails here rather than in a sweep's
+// resident memory.
+func TestCoreNewFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	best := uint64(math.MaxUint64)
+	// Take the smallest of a few constructions: TotalAlloc is
+	// process-wide, and only ever overcounts one core's bytes.
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		c, err := New(DefaultConfig())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(c)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("New(DefaultConfig()) allocates %d bytes", best)
+	if best > maxCoreBytes {
+		t.Fatalf("New(DefaultConfig()) allocates %d bytes, want <= %d", best, maxCoreBytes)
 	}
 }

@@ -52,3 +52,14 @@ func BenchmarkCoreTickSMT(b *testing.B) {
 	b.ResetTimer()
 	c.RunCycles(uint64(b.N))
 }
+
+// BenchmarkCoreNew measures building one default core — its B/op is the
+// predictor, JRS, cache and BTB state every simulated cell holds.
+func BenchmarkCoreNew(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
