@@ -204,12 +204,34 @@ func ExactEncode(p float64) uint32 {
 // (Section 3.2, "Reconverting to real Goodpath Probability"); it exists for
 // measurement and for converting an application's target probability into
 // an encoded threshold once.
+//
+// Sums below decodeTableLimit skip math.Exp2 and still return its exact
+// bits. Exp2 splits -s/1024 into an integer and a fraction, and the
+// fraction depends only on s%1024. So the result is decodeFrac[s%1024]
+// times the exact power 2^-(s/1024), rounded once, as Exp2 rounds it.
+// TestDecodeProbTableExact checks every sum in the table's range.
 func DecodeProb(encodedSum int64) float64 {
 	if encodedSum <= 0 {
 		return 1
 	}
+	if encodedSum < decodeTableLimit {
+		q := uint64(encodedSum) / LogScale
+		return decodeFrac[encodedSum%LogScale] * math.Float64frombits((1023-q)<<52) // 2^-q
+	}
 	return math.Exp2(-float64(encodedSum) / LogScale)
 }
+
+// decodeTableLimit bounds DecodeProb's table path: up to it, the power
+// 2^-(s/1024) is a normal float64 built directly from its exponent bits.
+const decodeTableLimit = 1023 * LogScale
+
+// decodeFrac[f] is 2^(-f/1024), as math.Exp2 computes it.
+var decodeFrac = func() (t [LogScale]float64) {
+	for f := range t {
+		t[f] = math.Exp2(-float64(f) / LogScale)
+	}
+	return t
+}()
 
 // EncodeProbThreshold converts a target real probability into the encoded
 // threshold an application compares the running sum against — e.g. a 10%

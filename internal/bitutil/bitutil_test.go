@@ -199,3 +199,24 @@ func TestThresholdConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeProbTableExact checks DecodeProb's table path against
+// math.Exp2 bit for bit on every sum it answers, and the fallback just
+// past it.
+func TestDecodeProbTableExact(t *testing.T) {
+	for s := int64(1); s < decodeTableLimit+LogScale; s++ {
+		got, want := DecodeProb(s), math.Exp2(-float64(s)/LogScale)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DecodeProb(%d) = %v (%#x), math.Exp2 gives %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+var decodeSink float64
+
+// BenchmarkDecodeProb measures one decode over the sums probes produce.
+func BenchmarkDecodeProb(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		decodeSink += DecodeProb(int64(i & (1<<16 - 1)))
+	}
+}

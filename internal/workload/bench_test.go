@@ -44,3 +44,22 @@ func BenchmarkWrongPathNext(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewWalker measures program construction: one op builds every
+// bundled benchmark's program, the per-cell setup a campaign pays before
+// it simulates anything.
+func BenchmarkNewWalker(b *testing.B) {
+	specs := make([]*Spec, len(BenchmarkNames))
+	for i, name := range BenchmarkNames {
+		specs[i] = MustBenchmark(name)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			if _, err := NewWalker(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"paco/internal/rng"
 )
@@ -92,6 +93,11 @@ func (s *Spec) Validate() error {
 		w := ph.Mix.weights()
 		total := 0.0
 		for _, x := range w {
+			// build sizes its arrays from the weights, which must be
+			// usable as weights.
+			if !(x >= 0) || math.IsInf(x, 1) {
+				return fmt.Errorf("workload %s: phase %d has class weight %g, want finite and non-negative", s.Name, i, x)
+			}
 			total += x
 		}
 		if total <= 0 {
@@ -165,11 +171,13 @@ func (m *memPattern) next(r *rng.RNG, wsMask uint64) uint64 {
 	return a
 }
 
-// staticInstr is one non-terminator instruction slot in a block.
+// staticInstr is one non-terminator instruction slot in a block. It is 8
+// bytes and holds no pointers, so the GC never scans a program's
+// instruction arena.
 type staticInstr struct {
+	mem     uint32 // 1-based index into program.mems; 0: not a memory op
 	kind    Kind
-	lat     uint64
-	mem     *memPattern
+	lat     uint8
 	hasDep2 bool
 }
 
@@ -193,42 +201,56 @@ const dataBase = 1 << 32
 // orbits) and gives loop branches real loop semantics: consecutive
 // executions with a trip-count exit, which is what the JRS miss distance
 // counters key on.
+//
+// A program is a few flat arrays: each region's blocks, an arena of
+// pointer-free static instructions the blocks' instrs are carved from, and
+// one table of every static load/store's address pattern.
 type program struct {
 	regions  [][]block
 	entries  []int // driver entry block per region
 	branches []*staticBranch
+	mems     []memPattern
 }
 
-// builder assembles one region.
+// builder assembles a program region by region.
 type builder struct {
 	spec   *Spec
 	mix    *BranchMix
 	choice *rng.WeightedChoice // diamond-class sampler (loop excluded)
 	r      *rng.RNG
-	blocks []block
+	blocks []block       // the region being built
+	arena  []staticInstr // unused tail of the current instruction chunk
 	prog   *program
-	nextID *int
+	nextID int
 	ws     uint64
 }
 
+// instrChunk is the instruction arena's allocation unit: 32 KiB of
+// staticInstrs, enough for several hundred blocks.
+const instrChunk = 4096
+
 // build constructs the program for spec.
 func build(spec *Spec, r *rng.RNG) *program {
-	p := &program{}
-	id := 0
+	regionBlocks := make([]int, len(spec.Phases))
+	memOps := 0.0
+	for phIdx := range spec.Phases {
+		regionBlocks[phIdx] = expectedBlocks(spec, &spec.Phases[phIdx].Mix)
+		memOps += float64(regionBlocks[phIdx]*spec.AvgBlockLen) * (spec.LoadFrac + spec.StoreFrac)
+	}
+	p := &program{
+		regions: make([][]block, 0, len(spec.Phases)),
+		entries: make([]int, 0, len(spec.Phases)),
+		mems:    make([]memPattern, 0, int(memOps)),
+	}
+	b := &builder{spec: spec, r: r, prog: p, ws: uint64(spec.WorkingSetKB) * 1024}
 	for phIdx := range spec.Phases {
 		ph := &spec.Phases[phIdx]
 		// Diamond branches sample from the non-loop classes.
 		w := ph.Mix.weights()
 		w[ClassLoop] = 0
-		b := &builder{
-			spec:   spec,
-			mix:    &ph.Mix,
-			choice: rng.NewWeightedChoice(w),
-			r:      r,
-			prog:   p,
-			nextID: &id,
-			ws:     uint64(spec.WorkingSetKB) * 1024,
-		}
+		b.mix = &ph.Mix
+		b.choice = rng.NewWeightedChoice(w)
+		b.blocks = make([]block, 0, regionBlocks[phIdx])
 		entry := b.buildRegion(phIdx)
 		p.regions = append(p.regions, b.blocks)
 		p.entries = append(p.entries, entry)
@@ -245,14 +267,35 @@ const (
 	segIndirect
 )
 
+// regionFuncs returns how many functions a region has, and how many of
+// them are leaves.
+func regionFuncs(spec *Spec) (funcs, leaves int) {
+	funcs = max(spec.BlocksPerPhase/12, 6)
+	return funcs, funcs * 3 / 5
+}
+
+// expectedBlocks is the mean block count of a region built for mix, with
+// an eighth of headroom: the driver's call blocks, plus per function a
+// return block and six segments (the mean of Range(3, 9)), each kind of
+// segment weighted by how often segmentKind picks it. It only sizes
+// allocations; the build never depends on it.
+func expectedBlocks(spec *Spec, mix *BranchMix) int {
+	funcs, leaves := regionFuncs(spec)
+	stubs := float64(max(spec.IndirectTargets, 2))
+	perSegment := func(leaf bool) float64 {
+		loop, diamond, call, ind, plain := segmentWeights(spec, mix, leaf)
+		blocks := 5*loop + 3*diamond + call + (1+stubs)*ind + plain
+		return blocks / (loop + diamond + call + ind + plain)
+	}
+	n := float64(2*funcs+1) +
+		float64(leaves)*(1+6*perSegment(true)) +
+		float64(funcs-leaves)*(1+6*perSegment(false))
+	return int(n * 9 / 8)
+}
+
 // buildRegion lays out one phase region and returns its driver entry block.
 func (b *builder) buildRegion(phIdx int) int {
-	spec := b.spec
-	funcCount := spec.BlocksPerPhase / 12
-	if funcCount < 6 {
-		funcCount = 6
-	}
-	leafCount := funcCount * 3 / 5
+	funcCount, leafCount := regionFuncs(b.spec)
 	entries := make([]int, funcCount)
 	// Leaves first so call segments have callees.
 	for f := 0; f < funcCount; f++ {
@@ -337,16 +380,20 @@ func (b *builder) buildFunction(leaf bool, callees []int) int {
 	return entry
 }
 
-// segmentKind samples a segment type; leaves never contain calls.
-func (b *builder) segmentKind(leaf bool) int {
-	loopW := b.mix.Loop
-	diamondW := b.mix.Biased + b.mix.Pattern + b.mix.Correlated + b.mix.Noisy + b.mix.Random
-	callW := b.spec.CallFrac * 4
-	if leaf {
-		callW = 0
+// segmentWeights returns the relative weights of a function's segment
+// kinds; leaves never contain calls.
+func segmentWeights(spec *Spec, mix *BranchMix, leaf bool) (loop, diamond, call, ind, plain float64) {
+	loop = mix.Loop
+	diamond = mix.Biased + mix.Pattern + mix.Correlated + mix.Noisy + mix.Random
+	if !leaf {
+		call = spec.CallFrac * 4
 	}
-	indW := b.spec.IndirectFrac * 4
-	plainW := 0.25
+	return loop, diamond, call, spec.IndirectFrac * 4, 0.25
+}
+
+// segmentKind samples a segment type.
+func (b *builder) segmentKind(leaf bool) int {
+	loopW, diamondW, callW, indW, plainW := segmentWeights(b.spec, b.mix, leaf)
 	x := b.r.Float64() * (loopW + diamondW + callW + indW + plainW)
 	switch {
 	case x < loopW:
@@ -370,15 +417,15 @@ func (b *builder) makeLoopBranch() *staticBranch {
 	if hi < lo {
 		hi = lo
 	}
-	sb := &staticBranch{id: *b.nextID, gen: &loopGen{trip: b.r.Range(lo, hi)}, rng: b.r.Fork()}
-	*b.nextID++
+	sb := &staticBranch{id: b.nextID, gen: &loopGen{trip: b.r.Range(lo, hi)}, rng: b.r.Fork()}
+	b.nextID++
 	b.prog.branches = append(b.prog.branches, sb)
 	return sb
 }
 
 func (b *builder) makeDiamondBranch() *staticBranch {
-	sb := b.mix.makeBranch(*b.nextID, b.choice, b.r)
-	*b.nextID++
+	sb := b.mix.makeBranch(b.nextID, b.choice, b.r)
+	b.nextID++
 	b.prog.branches = append(b.prog.branches, sb)
 	return sb
 }
@@ -391,7 +438,7 @@ func (b *builder) newBlock(extraLen int) int {
 	if blen > 4*spec.AvgBlockLen {
 		blen = 4 * spec.AvgBlockLen
 	}
-	blk := block{instrs: make([]staticInstr, blen)}
+	blk := block{instrs: b.allocInstrs(blen)}
 	for j := range blk.instrs {
 		si := &blk.instrs[j]
 		x := b.r.Float64()
@@ -399,11 +446,11 @@ func (b *builder) newBlock(extraLen int) int {
 		case x < spec.LoadFrac:
 			si.kind = KindLoad
 			si.lat = 3 // L1 hit pipeline latency
-			si.mem = b.makeMemPattern()
+			si.mem = b.addMemPattern()
 		case x < spec.LoadFrac+spec.StoreFrac:
 			si.kind = KindStore
 			si.lat = 1
-			si.mem = b.makeMemPattern()
+			si.mem = b.addMemPattern()
 		default:
 			si.kind = KindALU
 			si.lat = 1
@@ -417,8 +464,25 @@ func (b *builder) newBlock(extraLen int) int {
 	return len(b.blocks) - 1
 }
 
-func (b *builder) makeMemPattern() *memPattern {
-	m := &memPattern{}
+// allocInstrs carves n zeroed instruction slots from the arena.
+func (b *builder) allocInstrs(n int) []staticInstr {
+	if n > len(b.arena) {
+		b.arena = make([]staticInstr, max(n, instrChunk))
+	}
+	s := b.arena[:n:n]
+	b.arena = b.arena[n:]
+	return s
+}
+
+// addMemPattern samples one static memory instruction's address pattern
+// into the program's table and returns its 1-based index.
+func (b *builder) addMemPattern() uint32 {
+	b.prog.mems = append(b.prog.mems, b.makeMemPattern())
+	return uint32(len(b.prog.mems))
+}
+
+func (b *builder) makeMemPattern() memPattern {
+	var m memPattern
 	m.random = b.r.Bool(b.spec.RandomAddrFrac)
 	wsMask := nextPow2u(b.ws) - 1
 	if m.random {

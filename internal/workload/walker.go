@@ -13,6 +13,7 @@ const maxCallDepth = 64
 type Walker struct {
 	spec   *Spec
 	prog   *program
+	mems   []memPattern // prog.mems, one load closer to Next
 	r      *rng.RNG
 	ctx    globalCtx
 	wsMask uint64
@@ -35,9 +36,11 @@ func NewWalker(spec *Spec) (*Walker, error) {
 		return nil, err
 	}
 	r := rng.NewStream(spec.Seed, 0x5eed)
+	prog := build(spec, r)
 	w := &Walker{
 		spec:      spec,
-		prog:      build(spec, r),
+		prog:      prog,
+		mems:      prog.mems,
 		r:         r.Fork(),
 		wsMask:    nextPow2u(uint64(spec.WorkingSetKB)*1024) - 1,
 		callStack: make([]int, 0, maxCallDepth),
@@ -84,15 +87,15 @@ func (w *Walker) Next() Instruction {
 		ins = Instruction{
 			PC:       blk.pc + uint64(w.instrIdx)*instrBytes,
 			Kind:     si.kind,
-			Lat:      si.lat,
+			Lat:      uint64(si.lat),
 			Dep1:     w.depDist(),
 			StaticID: -1,
 		}
 		if si.hasDep2 {
 			ins.Dep2 = w.depDist()
 		}
-		if si.mem != nil {
-			ins.Addr = si.mem.next(w.r, w.wsMask)
+		if si.mem != 0 {
+			ins.Addr = w.mems[si.mem-1].next(w.r, w.wsMask)
 		}
 		ins.NextPC = ins.PC + instrBytes
 		w.instrIdx++

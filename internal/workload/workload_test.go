@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"paco/internal/rng"
@@ -168,6 +169,9 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Phases = nil },
 		func(s *Spec) { s.Phases[0].Instructions = 0 },
 		func(s *Spec) { s.Phases[0].Mix = BranchMix{} },
+		func(s *Spec) { s.Phases[0].Mix.Loop = -0.2 },
+		func(s *Spec) { s.Phases[0].Mix.Random = math.NaN() },
+		func(s *Spec) { s.Phases[0].Mix.Biased = math.Inf(1) },
 		func(s *Spec) { s.BlocksPerPhase = 0 },
 		func(s *Spec) { s.AvgBlockLen = 0 },
 		func(s *Spec) { s.WorkingSetKB = 0 },
