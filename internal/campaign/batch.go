@@ -26,8 +26,8 @@ import (
 // The planner is a pure function of the job slice, and the lockstep
 // scheduler cannot perturb per-core evolution (see cpu.Batch), so a
 // cell's result is byte-identical at any K, including K = 1 where every
-// cell runs alone on its own core — shard content addresses and the
-// federation's determinism guarantees are untouched.
+// unit is a one-lane batch, i.e. a plain Core — shard content addresses
+// and the federation's determinism guarantees are untouched.
 
 // batchDomain versions the stream-key computation, domain-separated
 // from shard IDs.
@@ -41,7 +41,8 @@ const DefaultBatchK = 8
 
 // BatchUnit is one planned execution unit: the cells (indices into the
 // planned job slice) that run together on one shared instruction
-// stream. A unit of one cell runs on a private core (see executeUnit).
+// stream. A unit of one cell runs as a one-lane cpu.Batch, i.e. on a
+// plain Core (see executeUnit).
 type BatchUnit struct {
 	// Key is the unit's stream key — the content address of the shared
 	// workload stream and run shape. Empty for singleton units of jobs
@@ -121,18 +122,41 @@ func PlanBatches(jobs []Job, batchK int) []BatchUnit {
 // batchLane is one cell's state during executeUnit.
 type batchLane struct {
 	job     *Job
+	index   int // the cell's index in the planned job slice
 	spec    *workload.Spec
 	machine cpu.Config
 	hooks   Hooks
 	c       *cpu.Core
 	tid     int
+	out     Result
 	settled bool
 }
 
-// prologue prepares one lane for the shared run, or runs it outright:
-// done reports that res/err are the cell's final outcome. alone runs a
-// standard cell on its own core. A panic fails only this lane.
-func (ln *batchLane) prologue(ctx context.Context, alone bool) (res *Result, done bool, err error) {
+// settle records the lane's final outcome: res on success, or a Result
+// carrying only its identity and err.
+func (ln *batchLane) settle(res *Result, err error) {
+	job := ln.job
+	if err != nil {
+		ln.out = Result{JobID: job.ID, Index: ln.index, Benchmark: job.Benchmark, Err: err.Error()}
+	} else {
+		if res == nil {
+			res = &Result{}
+		}
+		res.JobID = job.ID
+		res.Index = ln.index
+		if res.Benchmark == "" {
+			res.Benchmark = job.Benchmark
+		}
+		ln.out = *res
+	}
+	ln.settled = true
+}
+
+// prologue prepares one lane: an Exec job runs its hook, and done
+// reports that res/err are the cell's final outcome; any other job
+// resolves its workload, builds its core and runs Setup. A panic fails
+// only this lane.
+func (ln *batchLane) prologue(ctx context.Context) (res *Result, done bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, done, err = nil, true, fmt.Errorf("panic: %v", p)
@@ -156,89 +180,67 @@ func (ln *batchLane) prologue(ctx context.Context, alone bool) (res *Result, don
 	if job.Setup != nil {
 		ln.hooks = job.Setup()
 	}
-	if alone || ln.hooks.Attached != nil {
-		res, err = finishRun(ln.c, ln.spec, job, ln.hooks)
-		return res, true, err
-	}
 	return nil, false, nil
 }
 
 // executeUnit runs one planned unit and returns one Result per cell. It
 // is the only way a Runner executes cells. Each lane first runs its
-// prologue, in cell order: an Exec job runs its hook; any other job
-// resolves its workload, builds its core and runs Setup. A unit of one
-// cell, or a cell whose hooks need a private core (Hooks.Attached),
-// then runs to completion on its own core via finishRun. The remaining
-// lanes share one instruction stream on a cpu.Batch, under the same
-// warmup/refresh/reset/measure schedule as finishRun, so every cell's
-// Result is byte-identical at any batch width.
-//
-// A panic in a lane's prologue (Exec, Setup, or a whole private-core
-// run) fails that lane alone with "panic: ...". A panic once lanes
-// share a batch (estimator or gate code) fails every cell in the unit
-// that has not already settled; per-lane isolation is not possible
-// once lanes share a core.
-func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
-	out = make([]Result, len(cells))
+// prologue, in cell order. The lanes that survive it run through
+// runLanes: a lane whose hooks read its core's walker (Hooks.Attached)
+// on a batch of its own, the rest together on one batch. A unit of one
+// cell is a one-lane batch, which cpu.Batch runs as a plain Core, so
+// every cell's Result is byte-identical at any batch width.
+func executeUnit(ctx context.Context, jobs []Job, cells []int) []Result {
 	lanes := make([]*batchLane, len(cells))
-	settle := func(j int, res *Result, err error) {
-		job := &jobs[cells[j]]
-		if err != nil {
-			out[j] = Result{JobID: job.ID, Index: cells[j], Benchmark: job.Benchmark, Err: err.Error()}
-		} else {
-			if res == nil {
-				res = &Result{}
-			}
-			res.JobID = job.ID
-			res.Index = cells[j]
-			if res.Benchmark == "" {
-				res.Benchmark = job.Benchmark
-			}
-			out[j] = *res
+	var shared []*batchLane
+	for j, ci := range cells {
+		ln := &batchLane{job: &jobs[ci], index: ci}
+		lanes[j] = ln
+		switch res, done, err := ln.prologue(ctx); {
+		case done:
+			ln.settle(res, err)
+		case ln.hooks.Attached != nil:
+			runLanes([]*batchLane{ln})
+		default:
+			shared = append(shared, ln)
 		}
-		lanes[j].settled = true
 	}
+	if len(shared) > 0 {
+		runLanes(shared)
+	}
+	out := make([]Result, len(cells))
+	for j, ln := range lanes {
+		out[j] = ln.out
+	}
+	return out
+}
+
+// runLanes runs prepared lanes of one unit to completion on one
+// cpu.Batch. It is the only cell schedule: place the lanes, call
+// Attached, warm up, refresh PaCo, reset statistics and install probes,
+// measure, collect. A panic (estimator, gate or hook code) fails every
+// lane of this call that has not settled; per-lane isolation is not
+// possible once lanes share a core.
+func runLanes(lanes []*batchLane) {
 	defer func() {
 		if p := recover(); p != nil {
-			for j := range cells {
-				if !lanes[j].settled {
-					settle(j, nil, fmt.Errorf("panic: %v", p))
+			for _, ln := range lanes {
+				if !ln.settled {
+					ln.settle(nil, fmt.Errorf("panic: %v", p))
 				}
 			}
 		}
 	}()
 
-	for j, ci := range cells {
-		lanes[j] = &batchLane{job: &jobs[ci]}
-	}
-	for j, ln := range lanes {
-		if res, done, err := ln.prologue(ctx, len(cells) == 1); done {
-			settle(j, res, err)
+	// All lanes of a unit resolve content-equal specs, so the first one
+	// builds the shared tape. A walker build error fails each lane
+	// exactly where AddThread would have.
+	batch, err := cpu.NewBatch(lanes[0].spec)
+	if err != nil {
+		for _, ln := range lanes {
+			ln.settle(nil, err)
 		}
-	}
-
-	// Build the shared tape from the first surviving lane's spec (all
-	// lanes in a unit resolve content-equal specs). A walker build error
-	// fails each lane exactly where AddThread would have.
-	var batch *cpu.Batch
-	for j := range cells {
-		if lanes[j].settled {
-			continue
-		}
-		b, err := cpu.NewBatch(lanes[j].spec)
-		if err != nil {
-			for k := j; k < len(cells); k++ {
-				if !lanes[k].settled {
-					settle(k, nil, err)
-				}
-			}
-			return out
-		}
-		batch = b
-		break
-	}
-	if batch == nil {
-		return out // every lane settled in the prologue
+		return
 	}
 
 	// Lane placement: gated cells keep their own core on the tape;
@@ -250,18 +252,14 @@ func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 		machine cpu.Config
 		c       *cpu.Core
 		ests    []core.Estimator
-		lanes   []int // indices into lanes/cells
+		lanes   []*batchLane
 	}
 	var shares []*sharedCore
-	for j := range cells {
-		ln := lanes[j]
-		if ln.settled {
-			continue
-		}
+	for _, ln := range lanes {
 		if ln.hooks.Gate != nil {
 			tid, err := batch.Attach(ln.c, ln.hooks.Estimators)
 			if err != nil {
-				settle(j, nil, err)
+				ln.settle(nil, err)
 				continue
 			}
 			ln.tid = tid
@@ -279,50 +277,58 @@ func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 			sc = &sharedCore{machine: ln.machine, c: ln.c}
 			shares = append(shares, sc)
 		}
-		sc.lanes = append(sc.lanes, j)
+		sc.lanes = append(sc.lanes, ln)
 		sc.ests = append(sc.ests, ln.hooks.Estimators...)
 		ln.c = sc.c
 	}
 	for _, sc := range shares {
 		tid, err := batch.Attach(sc.c, sc.ests)
-		for _, j := range sc.lanes {
+		for _, ln := range sc.lanes {
 			if err != nil {
-				settle(j, nil, err)
+				ln.settle(nil, err)
 			} else {
-				lanes[j].tid = tid
+				ln.tid = tid
 			}
 		}
 	}
 
-	var active []int
-	for j := range cells {
-		if !lanes[j].settled {
-			active = append(active, j)
+	var active []*batchLane
+	for _, ln := range lanes {
+		if !ln.settled {
+			active = append(active, ln)
 		}
 	}
 	if len(active) == 0 {
-		return out
+		return
+	}
+	for _, ln := range active {
+		if ln.hooks.Attached != nil {
+			ln.hooks.Attached(ln.c, ln.tid)
+		}
 	}
 
-	// The warmup/refresh/reset/probe/measure schedule, per finishRun.
 	// Quotas are per-unit constants (the stream key pins them).
-	template := jobs[cells[0]]
-	batch.Run(template.Warmup)
-	for _, j := range active {
-		refreshPaCos(lanes[j].hooks.Estimators)
+	job := active[0].job
+	batch.Run(job.Warmup)
+	// The warmup stands in for the paper's fast-forward, during which
+	// PaCo's log circuit would have run thousands of times; force one
+	// logarithmization at the boundary so measurement never starts from
+	// the cold-start profile.
+	for _, ln := range active {
+		refreshPaCos(ln.hooks.Estimators)
 	}
 	seen := map[*cpu.Core]bool{}
-	for _, j := range active {
-		c := lanes[j].c
+	for _, ln := range active {
+		c := ln.c
 		if seen[c] {
 			continue
 		}
 		seen[c] = true
 		c.ResetStats()
 		var probes []func(int, bool)
-		for _, k := range active {
-			if lanes[k].c == c && lanes[k].hooks.Probe != nil {
-				probes = append(probes, lanes[k].hooks.Probe)
+		for _, other := range active {
+			if other.c == c && other.hooks.Probe != nil {
+				probes = append(probes, other.hooks.Probe)
 			}
 		}
 		switch len(probes) {
@@ -330,7 +336,6 @@ func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 		case 1:
 			c.SetProbe(probes[0])
 		default:
-			probes := probes
 			c.SetProbe(func(tid int, goodpath bool) {
 				for _, p := range probes {
 					p(tid, goodpath)
@@ -338,11 +343,9 @@ func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 			})
 		}
 	}
-	batch.Run(template.Instructions)
+	batch.Run(job.Instructions)
 
-	for _, j := range active {
-		ln := lanes[j]
-		settle(j, collectResult(ln.c, ln.spec, ln.tid, ln.hooks), nil)
+	for _, ln := range active {
+		ln.settle(collectResult(ln.c, ln.spec, ln.tid, ln.hooks), nil)
 	}
-	return out
 }

@@ -122,36 +122,8 @@ func resolveSpec(job *Job) (*workload.Spec, error) {
 	return spec, nil
 }
 
-// finishRun runs one cell to completion on its own core — attach the
-// thread, warm up, measure, collect. executeUnit uses it for units of
-// one cell and for cells whose hooks need a private core or walker.
-func finishRun(c *cpu.Core, spec *workload.Spec, job *Job, hooks Hooks) (*Result, error) {
-	tid, err := c.AddThread(spec, hooks.Estimators)
-	if err != nil {
-		return nil, err
-	}
-	if hooks.Attached != nil {
-		hooks.Attached(c, tid)
-	}
-	if hooks.Gate != nil {
-		c.SetGate(hooks.Gate)
-	}
-	c.Run(job.Warmup, 0)
-	// The warmup stands in for the paper's fast-forward, during which
-	// PaCo's log circuit would have run thousands of times; force one
-	// logarithmization at the boundary so measurement never starts from
-	// the cold-start profile.
-	refreshPaCos(hooks.Estimators)
-	c.ResetStats()
-	if hooks.Probe != nil {
-		c.SetProbe(hooks.Probe)
-	}
-	c.Run(job.Instructions, 0)
-	return collectResult(c, spec, tid, hooks), nil
-}
-
 // refreshPaCos forces the warmup-boundary logarithmization on every
-// PaCo estimator (see finishRun).
+// PaCo estimator (see runLanes).
 func refreshPaCos(ests []core.Estimator) {
 	for _, e := range ests {
 		if p, ok := e.(*core.PaCo); ok {

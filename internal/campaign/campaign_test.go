@@ -108,20 +108,32 @@ func TestSeedOverride(t *testing.T) {
 
 // TestPanicRecovery: a panicking job fails alone, at every batch width;
 // its result carries its own JobID and the panic, its neighbors
-// complete, and Run names the first panicking job. The Setup panic
-// shares a stream key with job 0, so at K >= 2 they plan as one unit.
+// complete, and Run names the first panicking job. The Setup panic and
+// the Attached cell's Probe panic share a stream key with job 0, so at
+// K >= 2 they plan into units with it.
 func TestPanicRecovery(t *testing.T) {
 	jobs := simJobs(nil)[:2]
 	setupBoom := jobs[0]
 	setupBoom.ID = "setup-boom"
 	setupBoom.Setup = func() Hooks { panic("setup kaboom") }
+	// An Attached cell runs on a batch of its own, so a panic in its
+	// measured window fails it alone even beside healthy cells of its
+	// stream.
+	probeBoom := jobs[0]
+	probeBoom.ID = "probe-boom"
+	probeBoom.Setup = func() Hooks {
+		return Hooks{
+			Attached: func(*cpu.Core, int) {},
+			Probe:    func(int, bool) { panic("probe kaboom") },
+		}
+	}
 	jobs = append(jobs, Job{
 		ID: "boom",
 		Exec: func(context.Context) (*Result, error) {
 			panic("kaboom")
 		},
-	}, setupBoom)
-	panics := map[int]string{2: "panic: kaboom", 3: "panic: setup kaboom"}
+	}, setupBoom, probeBoom)
+	panics := map[int]string{2: "panic: kaboom", 3: "panic: setup kaboom", 4: "panic: probe kaboom"}
 
 	for _, batchK := range []int{0, 2, 8} {
 		r := Runner{Workers: 4, BatchK: batchK}

@@ -21,8 +21,9 @@ type Runner struct {
 	// BatchK bounds how many cells sharing one instruction stream
 	// (equal StreamKey) execute together as one unit on the batched
 	// lockstep kernel, amortizing workload generation across
-	// configurations. <= 1 plans every cell as a unit of one, which
-	// runs on a private core. Results are byte-identical at any K.
+	// configurations. <= 1 plans every cell as a unit of one: a
+	// one-lane batch, which runs as a plain Core. Results are
+	// byte-identical at any K.
 	BatchK int
 
 	// OnProgress, when non-nil, is called after every job finishes (or is

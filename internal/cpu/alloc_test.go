@@ -81,45 +81,55 @@ func TestAddThreadEstimatorLimit(t *testing.T) {
 	}
 }
 
-// TestBatchRunZeroAllocs pins the batched lockstep path: once the tape
-// ring and every lane's structures have grown to steady state, advancing
-// the batch allocates nothing — per lane, per cycle.
+// TestBatchRunZeroAllocs pins the batch run loop: once the lanes'
+// structures (and, with two or more lanes, the tape ring) have grown to
+// steady state, advancing the batch allocates nothing — per lane, per
+// cycle. A one-lane batch runs as a plain Core; the two-lane batch
+// holds both batched lane kinds, a shared passive core and a gated core.
 func TestBatchRunZeroAllocs(t *testing.T) {
-	spec, err := workload.NewBenchmark("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBatch(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One shared passive core plus a gated core — both batched lane kinds.
-	shared, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Attach(shared, []core.Estimator{
-		core.NewPaCo(core.PaCoConfig{RefreshPeriod: 100_000}),
-		core.NewPaCo(core.PaCoConfig{RefreshPeriod: 200_000}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	gated, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gating.NewProbGate(0.3, 200_000)
-	if _, err := b.Attach(gated, []core.Estimator{g.PaCo()}); err != nil {
-		t.Fatal(err)
-	}
-	gated.SetGate(g.ShouldGate)
+	for _, tc := range []struct {
+		name   string
+		shared bool
+	}{{"one-lane", false}, {"two-lanes", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := workload.NewBenchmark("gzip")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewBatch(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shared {
+				shared, err := New(DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Attach(shared, []core.Estimator{
+					core.NewPaCo(core.PaCoConfig{RefreshPeriod: 100_000}),
+					core.NewPaCo(core.PaCoConfig{RefreshPeriod: 200_000}),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gated, err := New(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := gating.NewProbGate(0.3, 200_000)
+			if _, err := b.Attach(gated, []core.Estimator{g.PaCo()}); err != nil {
+				t.Fatal(err)
+			}
+			gated.SetGate(g.ShouldGate)
 
-	b.Run(100_000) // past ring, wheel, ready-queue, and arena growth
-	allocs := testing.AllocsPerRun(20, func() {
-		b.Run(1000)
-	})
-	if allocs != 0 {
-		t.Fatalf("Batch.Run allocates %.2f times per 1000-instruction quantum in steady state, want 0", allocs)
+			b.Run(100_000) // past ring, wheel, ready-queue, and arena growth
+			allocs := testing.AllocsPerRun(20, func() {
+				b.Run(1000)
+			})
+			if allocs != 0 {
+				t.Fatalf("Batch.Run allocates %.2f times per 1000-instruction quantum in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 

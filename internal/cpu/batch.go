@@ -6,10 +6,15 @@ import (
 )
 
 // Batch advances K independent cores that replay one shared instruction
-// stream (workload.Tape) in lockstep. It is the kernel of the batched
-// campaign path: grid cells that differ only in estimator or gating
-// configuration share the expensive goodpath generation and pay only
-// the cheap ring replay per lane.
+// stream (workload.Tape) in lockstep. It is the kernel of every campaign
+// cell: grid cells that differ only in estimator or gating configuration
+// share the expensive goodpath generation and pay only the cheap ring
+// replay per lane.
+//
+// The lane count picks the goodpath source. A batch of one lane is a
+// plain Core on the tape's walker: no cursor, no ring, and Run is
+// Core.Run. From the second lane on, every lane reads the tape through
+// its own cursor and Run interleaves them.
 //
 // The cores are plain Cores — per-core state (structure-of-arrays
 // across the batch: one predictor, ROB, cache hierarchy, estimator set
@@ -24,9 +29,11 @@ import (
 //
 // A Batch is single-goroutine, like a Core.
 type Batch struct {
-	tape  *workload.Tape
-	cores []*Core
-	done  []bool // scratch for Run; len == len(cores)
+	tape    *workload.Tape
+	cores   []*Core
+	threads []*thread // lane i's thread on cores[i]
+	done    []bool    // scratch for Run; len == len(cores)
+	ran     bool      // the stream has been consumed; Attach is closed
 }
 
 // batchQuantum is how many tape instructions a core consumes per
@@ -56,33 +63,44 @@ func (b *Batch) K() int { return len(b.cores) }
 // Core returns lane i's core.
 func (b *Batch) Core(i int) *Core { return b.cores[i] }
 
-// Attach adds a core as a batch lane: it gains one thread fed by a new
-// tape cursor with the given estimators. Attach must precede Run (all
-// cursors are created before consumption begins). The returned thread
-// id mirrors AddThread's.
+// Attach adds a core as a batch lane: it gains one thread with the given
+// estimators, and the returned thread id mirrors AddThread's. The first
+// lane reads the tape's walker directly; a second Attach moves it onto a
+// tape cursor and gives the new lane a cursor of its own, as does every
+// later Attach. Attach panics once the batch has run (Run or StepTimed):
+// a late lane would start behind the stream.
 func (b *Batch) Attach(c *Core, ests []core.Estimator) (int, error) {
-	cur := b.tape.NewCursor()
-	tid, err := c.AddThreadCursor(cur, ests)
-	if err != nil {
-		// The unused cursor must not pin the ring at position zero.
-		b.tape.DropCursor(cur)
+	if b.ran {
+		panic("cpu: Batch.Attach after the batch has run")
+	}
+	if err := c.checkEstimators(ests); err != nil {
 		return 0, err
 	}
+	var cur *workload.Cursor
+	if len(b.threads) > 0 {
+		if len(b.threads) == 1 {
+			b.threads[0].cursor = b.tape.NewCursor()
+		}
+		cur = b.tape.NewCursor()
+	}
+	tid := c.attachThread(b.tape.Walker(), cur, ests)
 	b.cores = append(b.cores, c)
+	b.threads = append(b.threads, c.threads[tid])
 	b.done = append(b.done, false)
 	return tid, nil
 }
 
-// cursor returns lane i's tape cursor (every lane has exactly one
-// cursor-fed thread, attached by Attach).
-func (b *Batch) cursor(i int) *workload.Cursor { return b.cores[i].threads[0].cursor }
-
 // Run simulates until every lane has retired goodInstrs further
 // goodpath instructions — per-core semantics identical to calling
-// Core.Run(goodInstrs, 0) on each lane in isolation. Lanes are
-// interleaved laggard-first in quanta of batchQuantum tape
-// instructions.
+// Core.Run(goodInstrs, 0) on each lane in isolation, which is what a
+// batch of one lane does. More lanes are interleaved laggard-first in
+// quanta of batchQuantum tape instructions.
 func (b *Batch) Run(goodInstrs uint64) {
+	b.ran = true
+	if len(b.cores) == 1 {
+		b.cores[0].Run(goodInstrs, 0)
+		return
+	}
 	for i, c := range b.cores {
 		c.prepareRun(goodInstrs)
 		b.done[i] = c.runDone()
@@ -96,14 +114,14 @@ func (b *Batch) Run(goodInstrs uint64) {
 			if b.done[i] {
 				continue
 			}
-			if p := b.cursor(i).Pos(); best < 0 || p < bestPos {
+			if p := b.threads[i].cursor.Pos(); best < 0 || p < bestPos {
 				best, bestPos = i, p
 			}
 		}
 		if best < 0 {
 			return
 		}
-		c, cur := b.cores[best], b.cursor(best)
+		c, cur := b.cores[best], b.threads[best].cursor
 		limit := cur.Pos() + batchQuantum
 		for {
 			c.Step()
@@ -132,6 +150,7 @@ func (b *Batch) FreeRun() {
 // of the cache locality the quantum scheduler buys — acceptable for the
 // short instrumented pass that only measures relative stage cost.
 func (b *Batch) StepTimed(st *StageTimes) {
+	b.ran = true
 	for _, c := range b.cores {
 		c.StepTimed(st)
 	}

@@ -97,7 +97,9 @@ func TestBatchMatchesSingleton(t *testing.T) {
 // TestBatchMergedEstimators pins the estimator-lane merge: N passive
 // estimator configurations attached to ONE shared core behave exactly
 // as N singleton runs — same core stats, and each estimator reaches the
-// same state it reaches observing its own private core.
+// same state it reaches observing its own private core. A gated lane
+// rides along so the shared core reads the stream through a tape
+// cursor, as it does in a campaign batch.
 func TestBatchMergedEstimators(t *testing.T) {
 	const warmup, measure = 20_000, 60_000
 	refreshes := []uint64{50_000, 100_000, 200_000}
@@ -120,8 +122,13 @@ func TestBatchMergedEstimators(t *testing.T) {
 	if _, err := b.Attach(shared, ests); err != nil {
 		t.Fatal(err)
 	}
+	gated, _ := buildLane(t, b, nil, laneShapes()[1])
+	if got := b.Tape().Cursors(); got != 2 {
+		t.Fatalf("two-lane batch has %d tape cursors, want 2", got)
+	}
 	b.Run(warmup)
 	shared.ResetStats()
+	gated.ResetStats()
 	b.Run(measure)
 
 	for i, r := range refreshes {
@@ -151,12 +158,15 @@ func TestBatchMergedEstimators(t *testing.T) {
 }
 
 // TestBatchAttachTooManyEstimators pins that Attach fails like
-// AddThread and the dead cursor does not pin the tape.
+// AddThread, before it creates any tape cursor. The failing Attach is
+// the second one — the first that would move lane 0 onto a cursor — so
+// a failure must leave the batch exactly one lane on the walker.
 func TestBatchAttachTooManyEstimators(t *testing.T) {
 	b, err := NewBatch(workload.MustBenchmark("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	buildLane(t, b, nil, laneShapes()[0])
 	c, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +181,69 @@ func TestBatchAttachTooManyEstimators(t *testing.T) {
 	if got := b.Tape().Cursors(); got != 0 {
 		t.Fatalf("failed Attach left %d cursors registered, want 0", got)
 	}
-	if b.K() != 0 {
-		t.Fatalf("failed Attach left %d lanes, want 0", b.K())
+	if b.K() != 1 {
+		t.Fatalf("failed Attach left %d lanes, want 1", b.K())
+	}
+	if b.threads[0].cursor != nil {
+		t.Fatal("failed Attach moved lane 0 off the tape's walker")
+	}
+}
+
+// TestBatchOfOneIsCore pins the one-lane rule: a batch of one lane is
+// a plain Core on the tape's walker — the same statistics as AddThread
+// plus Core.Run over warmup and measure, and no tape cursor.
+func TestBatchOfOneIsCore(t *testing.T) {
+	const warmup, measure = 20_000, 60_000
+	for _, sh := range laneShapes() {
+		b, err := NewBatch(workload.MustBenchmark("gzip"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane, ltid := buildLane(t, b, nil, sh)
+		b.Run(warmup)
+		lane.ResetStats()
+		b.Run(measure)
+
+		single, tid := buildLane(t, nil, workload.MustBenchmark("gzip"), sh)
+		single.Run(warmup, 0)
+		single.ResetStats()
+		single.Run(measure, 0)
+
+		if got, want := lane.Stats(), single.Stats(); got != want {
+			t.Errorf("%s: one-lane batch core stats %+v != Core.Run %+v", sh.name, got, want)
+		}
+		if got, want := lane.ThreadStats(ltid), single.ThreadStats(tid); got != want {
+			t.Errorf("%s: one-lane batch thread stats diverge from Core.Run:\n got %+v\nwant %+v", sh.name, got, want)
+		}
+		if got := b.Tape().Cursors(); got != 0 {
+			t.Errorf("%s: one-lane batch created %d tape cursors, want 0", sh.name, got)
+		}
+	}
+}
+
+// TestBatchAttachAfterRunPanics pins that a batch is closed to new
+// lanes once it has run, at one lane as at many. A one-lane batch's
+// tape never advances (its core reads the walker directly), so only the
+// batch itself can tell that the stream has moved on.
+func TestBatchAttachAfterRunPanics(t *testing.T) {
+	shapes := laneShapes()
+	for lanes := 1; lanes <= 2; lanes++ {
+		b, err := NewBatch(workload.MustBenchmark("gzip"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < lanes; i++ {
+			buildLane(t, b, nil, shapes[i])
+		}
+		b.Run(1000)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d lane(s): Attach after Run did not panic", lanes)
+				}
+			}()
+			buildLane(t, b, nil, shapes[0])
+		}()
 	}
 }
 
@@ -206,6 +277,32 @@ func BenchmarkBatchRun(b *testing.B) {
 		}
 		c.SetGate(g.ShouldGate)
 	}
+	bt.Run(50_000) // structure growth + cache warmup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.Run(4000)
+	}
+}
+
+// BenchmarkBatchRunOne measures a one-lane batch — the shape of every
+// unbatched campaign cell: one gated core, which the batch runs as a
+// plain Core on the tape's walker, advanced 4000 goodpath instructions
+// per op.
+func BenchmarkBatchRunOne(b *testing.B) {
+	bt, err := NewBatch(workload.MustBenchmark("gzip"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := gating.NewProbGate(0.3, 200_000)
+	if _, err := bt.Attach(c, []core.Estimator{g.PaCo()}); err != nil {
+		b.Fatal(err)
+	}
+	c.SetGate(g.ShouldGate)
 	bt.Run(50_000) // structure growth + cache warmup
 	b.ReportAllocs()
 	b.ResetTimer()

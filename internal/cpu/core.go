@@ -141,11 +141,8 @@ func New(cfg Config) (*Core, error) {
 // AddThread attaches a workload and its path confidence estimators
 // (estimators observe only this thread). It returns the thread id.
 func (c *Core) AddThread(spec *workload.Spec, ests []core.Estimator) (int, error) {
-	// Each robEntry holds a fixed [MaxEstimators]Contribution array;
-	// admitting more estimators would silently mis-index it.
-	if len(ests) > MaxEstimators {
-		return 0, fmt.Errorf("cpu: %d estimators attached to thread %d, at most %d supported (robEntry.contribs is fixed-size)",
-			len(ests), len(c.threads), MaxEstimators)
+	if err := c.checkEstimators(ests); err != nil {
+		return 0, err
 	}
 	w, err := workload.NewWalker(spec)
 	if err != nil {
@@ -154,23 +151,24 @@ func (c *Core) AddThread(spec *workload.Spec, ests []core.Estimator) (int, error
 	return c.attachThread(w, nil, ests), nil
 }
 
-// AddThreadCursor attaches a workload replayed from a shared tape cursor
-// instead of a private walker — the batched lockstep path (Batch). The
-// thread's wrong-path generator is private (badpath content is its own
-// seeded stream and reads only the walker's immutable spec), so two
-// cursor-fed cores evolve exactly as two walker-fed cores would.
-func (c *Core) AddThreadCursor(cur *workload.Cursor, ests []core.Estimator) (int, error) {
+// checkEstimators rejects a thread with more than MaxEstimators
+// estimators: each robEntry holds a fixed [MaxEstimators]Contribution
+// array, so admitting more would silently mis-index it.
+func (c *Core) checkEstimators(ests []core.Estimator) error {
 	if len(ests) > MaxEstimators {
-		return 0, fmt.Errorf("cpu: %d estimators attached to thread %d, at most %d supported (robEntry.contribs is fixed-size)",
+		return fmt.Errorf("cpu: %d estimators attached to thread %d, at most %d supported (robEntry.contribs is fixed-size)",
 			len(ests), len(c.threads), MaxEstimators)
 	}
-	return c.attachThread(cur.Walker(), cur, ests), nil
+	return nil
 }
 
 // attachThread builds the hardware context shared by AddThread and
-// AddThreadCursor. The walker is retained even on the cursor path for
-// diagnostics (Walker) and the wrong-path generator; only
-// nextInstruction consults the cursor.
+// Batch.Attach. A non-nil cursor feeds the goodpath from a shared tape
+// (w is then the tape's walker, kept for diagnostics and the wrong-path
+// generator); only nextInstruction consults it. The thread's wrong-path
+// generator is private (badpath content is its own seeded stream and
+// reads only the walker's immutable spec), so a cursor-fed core evolves
+// exactly as a walker-fed one would.
 func (c *Core) attachThread(w *workload.Walker, cur *workload.Cursor, ests []core.Estimator) int {
 	// The ROB backing array is rounded up to a power of two so entry()
 	// maps seq to slot with a mask instead of a division (a measured

@@ -364,30 +364,43 @@ func TestReportsRender(t *testing.T) {
 	}
 }
 
-// TestBatchedExperimentsByteIdentical renders whole paper experiments —
-// every campaign fig2 and the robustness study submit — through a
-// batched-lockstep campaign runner and requires the reports to be
-// byte-identical to the default unbatched path. This is the
-// experiment-level face of the batching guarantee: batch width, like
-// worker count, must never change result bytes.
+// TestBatchedExperimentsByteIdentical renders every paper experiment
+// through the default runner, which batches at campaign.DefaultBatchK,
+// and through an injected unbatched Runner{BatchK: 1}, and requires the
+// reports to be byte-identical. This is the experiment-level face of
+// the batching guarantee: batch width, like worker count, must never
+// change result bytes — including for Attached cells (fig3b) and Exec
+// cells (fig12). fig2 and robustness run at full Quick() windows; the
+// other experiments run shorter windows to keep the race run short,
+// with the Quick() sweep axes, and so the cells that share a stream,
+// kept.
 func TestBatchedExperimentsByteIdentical(t *testing.T) {
-	for _, name := range []string{"fig2", "robustness"} {
+	fullWindows := map[string]bool{"fig2": true, "robustness": true}
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			cfg := Quick()
 			cfg.Workers = 2
-			var plain bytes.Buffer
-			if err := Run(name, cfg, &plain); err != nil {
-				t.Fatalf("unbatched %s: %v", name, err)
-			}
-
-			bcfg := cfg
-			bcfg.Execute = func(ctx context.Context, workers int, jobs []campaign.Job) ([]campaign.Result, error) {
-				r := campaign.Runner{Workers: workers, BatchK: 8}
-				return r.Run(ctx, jobs)
+			if !fullWindows[name] {
+				cfg.Instructions = 60_000
+				cfg.Warmup = 25_000
+				cfg.GatingInstructions = 30_000
+				cfg.GatingWarmup = 10_000
+				cfg.SMTWarmupCycles = 5_000
+				cfg.SMTMeasureCycles = 15_000
 			}
 			var batched bytes.Buffer
-			if err := Run(name, bcfg, &batched); err != nil {
+			if err := Run(name, cfg, &batched); err != nil {
 				t.Fatalf("batched %s: %v", name, err)
+			}
+
+			ucfg := cfg
+			ucfg.Execute = func(ctx context.Context, workers int, jobs []campaign.Job) ([]campaign.Result, error) {
+				r := campaign.Runner{Workers: workers, BatchK: 1}
+				return r.Run(ctx, jobs)
+			}
+			var plain bytes.Buffer
+			if err := Run(name, ucfg, &plain); err != nil {
+				t.Fatalf("unbatched %s: %v", name, err)
 			}
 			if !bytes.Equal(plain.Bytes(), batched.Bytes()) {
 				t.Fatalf("%s report differs between unbatched and batched execution\nunbatched:\n%s\nbatched:\n%s",

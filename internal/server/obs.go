@@ -157,7 +157,7 @@ func newServerObs(s *Server, logger *slog.Logger, flightSpans int) *serverObs {
 	o.batchedCells = r.Counter("paco_campaign_cells_batched_total",
 		"Campaign cells executed on the batched lockstep path (shared instruction stream).")
 	o.singletonCells = r.Counter("paco_campaign_cells_singleton_total",
-		"Campaign cells executed as a unit of one, on a private core.")
+		"Campaign cells executed as a unit of one (a one-lane batch).")
 	o.httpRequests = r.CounterVec("paco_http_requests_total",
 		"HTTP requests served, by mux route and status code.", "route", "code")
 	o.httpDuration = r.HistogramVec("paco_http_request_duration_seconds",

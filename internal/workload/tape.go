@@ -16,6 +16,10 @@ package workload
 // ring size adapts to however far the lockstep scheduler lets cursors
 // drift apart.
 //
+// The ring is allocated with the first cursor: a one-lane batch reads
+// the walker directly (Walker) and never pays for a ring it would not
+// read.
+//
 // A Tape and its cursors are confined to one goroutine (one batch); the
 // sharing is across simulated cores, not OS threads.
 type Tape struct {
@@ -39,16 +43,13 @@ func NewTape(spec *Spec) (*Tape, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tape{
-		w:    w,
-		buf:  make([]Instruction, tapeInitialSize),
-		mask: tapeInitialSize - 1,
-	}, nil
+	return &Tape{w: w}, nil
 }
 
 // Walker returns the shared walker — the source of the taped stream.
-// Callers use it for diagnostics and to build per-core wrong-path
-// generators (a WrongPath reads only the walker's immutable spec).
+// Callers use it for diagnostics, to build per-core wrong-path
+// generators (a WrongPath reads only the walker's immutable spec), and
+// as the goodpath source of a lone reader that needs no cursor.
 func (t *Tape) Walker() *Walker { return t.w }
 
 // Cursors returns how many cursors read the tape.
@@ -61,21 +62,13 @@ func (t *Tape) NewCursor() *Cursor {
 	if t.head != 0 {
 		panic("workload: tape cursor created after consumption began")
 	}
+	if t.buf == nil {
+		t.buf = make([]Instruction, tapeInitialSize)
+		t.mask = tapeInitialSize - 1
+	}
 	c := &Cursor{tape: t}
 	t.curs = append(t.curs, c)
 	return c
-}
-
-// DropCursor unregisters a cursor that was never used (e.g. its thread
-// failed to attach), so it cannot pin the ring at position zero. A
-// dropped cursor must not be read.
-func (t *Tape) DropCursor(c *Cursor) {
-	for i, cu := range t.curs {
-		if cu == c {
-			t.curs = append(t.curs[:i], t.curs[i+1:]...)
-			return
-		}
-	}
 }
 
 // produce appends the walker's next instruction to the ring.

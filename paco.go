@@ -275,28 +275,6 @@ type CampaignSnapshot = campaign.Snapshot
 // unsplit campaign byte for byte.
 type CampaignShard = campaign.Shard
 
-// Batched lockstep execution (see DESIGN.md §5b): campaign cells that
-// replay one instruction stream execute together — one workload tape
-// feeding K cores in lockstep — with results byte-identical at any
-// batch width; a unit of one cell runs on a private core.
-type (
-	// BatchUnit is one planned execution unit: the cell indices that
-	// share one instruction stream, keyed by its content address.
-	BatchUnit = campaign.BatchUnit
-	// WorkloadTape is a shared instruction ring multiple simulated cores
-	// replay through cursors.
-	WorkloadTape = workload.Tape
-	// MachineBatch advances K cores over one shared tape in lockstep.
-	MachineBatch = cpu.Batch
-)
-
-// PlanBatches partitions campaign jobs into batched execution units of
-// at most batchK cells, grouping by stream key. Every job lands in
-// exactly one unit; batchK <= 1 plans every job as a unit of one.
-func PlanBatches(jobs []CampaignJob, batchK int) []BatchUnit {
-	return campaign.PlanBatches(jobs, batchK)
-}
-
 // Declarative workload scenarios (see internal/scenario): a versioned
 // JSON document — a named workload family with parameters, or a bundled
 // benchmark, reshaped by composition operators — that compiles to a
