@@ -41,7 +41,7 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
 		err = runCompare(os.Args[2:])
 	} else {
-		err = run()
+		err = run(os.Args[1:])
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paco-bench:", err)
@@ -49,18 +49,21 @@ func main() {
 	}
 }
 
-func run() error {
-	benchmarks := flag.String("benchmarks", "gzip,twolf,mcf", "comma-separated benchmark names to measure")
-	smt := flag.Bool("smt", true, "also measure the two-thread SMT machine")
-	warmup := flag.Uint64("warmup", 0, "warmup cycles per configuration (0 = default)")
-	cycles := flag.Uint64("cycles", 0, "measured cycles per configuration (0 = default)")
-	stageCycles := flag.Uint64("stagecycles", 0, "instrumented cycles for the stage breakdown (0 = default)")
-	batch := flag.String("batch", "", "comma-separated batched lockstep widths to measure (include 1 for the scaling baseline)")
-	baseline := flag.String("baseline", "", "prior report to compare against (its own baseline is dropped)")
-	out := flag.String("out", "", "write the report to a file instead of stdout")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurement to a file")
-	showVersion := flag.Bool("version", false, "print the build stamp and exit")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("paco-bench", flag.ExitOnError)
+	benchmarks := fs.String("benchmarks", "gzip,twolf,mcf", "comma-separated benchmark names to measure")
+	smt := fs.Bool("smt", true, "also measure the two-thread SMT machine")
+	warmup := fs.Uint64("warmup", 0, "warmup cycles per configuration (0 = default)")
+	cycles := fs.Uint64("cycles", 0, "measured cycles per configuration (0 = default)")
+	stageCycles := fs.Uint64("stagecycles", 0, "instrumented cycles for the stage breakdown (0 = default)")
+	batch := fs.String("batch", "", "comma-separated batched lockstep widths to measure (include 1 for the scaling baseline)")
+	baseline := fs.String("baseline", "", "prior report to compare against (its own baseline is dropped)")
+	out := fs.String("out", "", "write the report to a file instead of stdout")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measurement to a file")
+	showVersion := fs.Bool("version", false, "print the build stamp and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *showVersion {
 		version.Fprint(os.Stdout, "paco-bench")

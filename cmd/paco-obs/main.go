@@ -71,7 +71,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 2 {
-		return fmt.Errorf("usage: paco-obs lint|flight <base-url> [flags]")
+		return fmt.Errorf("usage: paco-obs lint|flight|watch|report|sessions <base-url> [flags]")
 	}
 	cmd, base, rest := args[0], args[1], args[2:]
 	switch cmd {

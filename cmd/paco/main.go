@@ -6,10 +6,10 @@
 //	paco <experiment> [flags]
 //	paco list
 //
-// Experiments: fig2 fig3a fig3b table7 fig8 fig9 fig10 fig12 tableA1.
-// The default configuration runs each benchmark for 2M measured
-// instructions after a 400k warmup; -quick selects a small configuration,
-// -instructions/-warmup override.
+// `paco list` prints the experiment ids: the paper's tables and figures
+// plus the ablations and robustness checks. The default configuration
+// runs each benchmark for 2M measured instructions after a 400k warmup;
+// -quick selects a small configuration, -instructions/-warmup override.
 package main
 
 import (

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -320,8 +321,8 @@ func TestMergeAndSerialize(t *testing.T) {
 	if err := WriteJSON(&buf, results); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back []Result
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, results) {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -116,15 +115,6 @@ func WriteJSON(w io.Writer, results []Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
-}
-
-// ReadJSON decodes a result slice written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Result, error) {
-	var out []Result
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("campaign: decoding results: %w", err)
-	}
-	return out, nil
 }
 
 // csvFixed is the fixed CSV column set, in order.

@@ -217,9 +217,6 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // (the ICOUNT policy input).
 func (c *Core) InFlight(tid int) int { return c.threads[tid].inFlight() }
 
-// OnGoodpath exposes the goodpath oracle for a thread.
-func (c *Core) OnGoodpath(tid int) bool { return c.threads[tid].onGoodpath }
-
 // Threads returns the number of attached threads.
 func (c *Core) Threads() int { return len(c.threads) }
 

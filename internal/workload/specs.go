@@ -41,15 +41,6 @@ func MustBenchmark(name string) *Spec {
 	return s
 }
 
-// AllBenchmarks returns fresh specs for every benchmark, in table order.
-func AllBenchmarks() []*Spec {
-	out := make([]*Spec, 0, len(BenchmarkNames))
-	for _, n := range BenchmarkNames {
-		out = append(out, MustBenchmark(n))
-	}
-	return out
-}
-
 // RegisteredNames returns all registry names, sorted (the named SPEC models
 // plus any test registrations).
 func RegisteredNames() []string {

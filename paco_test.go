@@ -2,6 +2,12 @@ package paco
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -77,31 +83,80 @@ func TestPublicGates(t *testing.T) {
 	}
 }
 
-// TestPublicScenarios exercises the declarative-workload surface: list
-// the families, compile a document, and fuzz a reproducible batch.
-func TestPublicScenarios(t *testing.T) {
-	fams := ScenarioFamilies()
-	if len(fams) != 6 {
-		t.Fatalf("families = %d", len(fams))
+// TestPublicSurface pins the root package to the paper's four entry
+// levels: predictor construction, simulation, experiments and live
+// sessions. Campaign, service, federation, kernel-bench and scenario
+// plumbing stays internal; exporting it here again fails this test.
+func TestPublicSurface(t *testing.T) {
+	want := []string{
+		// Predictor construction.
+		"Estimator", "BranchEvent", "Contribution", "PaCo", "PaCoConfig",
+		"CountPredictor", "NewPaCo", "NewCountPredictor",
+		"EncodeProbThreshold", "DecodeProb", "MDCBuckets",
+		// Simulation.
+		"Machine", "MachineConfig", "DefaultMachineConfig",
+		"SMTMachineConfig", "NewMachine", "Workload", "Benchmark",
+		"BenchmarkNames", "Gate", "NewCountGate", "NewProbGate",
+		// Experiments.
+		"ExperimentConfig", "DefaultExperimentConfig",
+		"QuickExperimentConfig", "Experiments", "RunExperiment",
+		// Sessions.
+		"Session", "SessionConfig", "SessionEstimator", "SessionScores",
+		"OpenSession",
 	}
-	w, err := CompileScenario(Scenario{Family: "interpreter"})
+	// Every non-test file of the package counts, so a plumbing alias
+	// cannot come back through a file beside paco.go.
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name != "interpreter" || w.IndirectFrac <= 0.1 {
-		t.Fatalf("compiled spec: %+v", w)
+	var got []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, exportedNames(f)...)
 	}
-	a, err := FuzzScenarios(42, 3)
-	if err != nil {
-		t.Fatal(err)
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("package paco exports %d names, want the %d entry-level names\ngot  %v\nwant %v",
+			len(got), len(want), got, want)
 	}
-	b, err := FuzzScenarios(42, 3)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// exportedNames lists the exported top-level functions, types, constants
+// and variables a file declares; methods are not package names.
+func exportedNames(f *ast.File) []string {
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						names = append(names, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							names = append(names, n.Name)
+						}
+					}
+				}
+			}
+		}
 	}
-	if len(a) != 3 || a[0].Name != b[0].Name || a[0].Seed != b[0].Seed {
-		t.Fatalf("fuzz not reproducible: %+v vs %+v", a, b)
-	}
+	return names
 }
 
 func TestPublicExperiments(t *testing.T) {
