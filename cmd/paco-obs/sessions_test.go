@@ -1,0 +1,71 @@
+package main
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"paco/internal/server"
+)
+
+// sessionServer serves the real /v1/sessions surface from an
+// in-process paco-serve, through wrap when it is non-nil.
+func sessionServer(t *testing.T, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	srv, err := server.New(server.Config{JobWorkers: 1, CacheBytes: 1 << 20, SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// sessionsArgs streams 6 sessions in 1000-byte chunks — not a multiple
+// of the 23-byte record, so every chunk after the first ends mid-record.
+var sessionsArgs = []string{"-sessions", "6", "-events", "4000", "-chunk", "1000", "-concurrency", "3", "-verify"}
+
+// TestSessionsVerifyMatchesReplay runs the load generator against a
+// live server: every final scores document must be byte-identical to
+// offline session.Replay of the same events, or run fails.
+func TestSessionsVerifyMatchesReplay(t *testing.T) {
+	ts := sessionServer(t, nil)
+	if err := run(append([]string{"sessions", ts.URL}, sessionsArgs...)); err != nil {
+		t.Fatalf("sessions -verify: %v", err)
+	}
+}
+
+// TestSessionsVerifyCatchesDrift proves -verify compares bytes: a
+// server whose DELETE answers drift by one event count must fail it.
+func TestSessionsVerifyCatchesDrift(t *testing.T) {
+	ts := sessionServer(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodDelete {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			w.WriteHeader(rec.Code)
+			w.Write(bytes.Replace(rec.Body.Bytes(), []byte(`"events": 4000`), []byte(`"events": 3999`), 1))
+		})
+	})
+	err := run(append([]string{"sessions", ts.URL}, sessionsArgs...))
+	if err == nil || !strings.Contains(err.Error(), "6 of 6 sessions failed") {
+		t.Fatalf("sessions -verify against drifting finals: err = %v, want every session failed", err)
+	}
+}
+
+func TestSessionsRejectsBadFlags(t *testing.T) {
+	if err := run([]string{"sessions", "http://127.0.0.1:0", "-chunk", "0"}); err == nil {
+		t.Fatal("-chunk 0 accepted")
+	}
+}

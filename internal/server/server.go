@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -390,17 +391,40 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 // answers "label: err" — 413 past the limit, 400 otherwise — and
 // returns false.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, label string) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "%s: %v", label, err)
-		return nil, false
+	return readBodyInto(nil, w, r, limit, label)
+}
+
+// readBodyInto is readBody onto dst[:0], so a caller can reuse one
+// buffer across requests. A declared Content-Length within the limit
+// sizes the buffer up to 64 KiB before the first read; past that it
+// grows by doubling as bytes arrive, so a client that declares a large
+// body and stalls pins no more than that. The buffer comes back on
+// failure too.
+func readBodyInto(dst []byte, w http.ResponseWriter, r *http.Request, limit int64, label string) ([]byte, bool) {
+	body := dst[:0]
+	if n := r.ContentLength; n > 0 && n <= limit {
+		body = slices.Grow(body, int(min(n, 64<<10))+1) // +1: room for the read that sees EOF
 	}
-	return body, true
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, true
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			errorJSON(w, status, "%s: %v", label, err)
+			return body, false
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

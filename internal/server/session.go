@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"paco/internal/obs"
 	"paco/internal/session"
@@ -32,7 +33,8 @@ import (
 
 // sessionBackend serves the /v1/sessions handlers. *session.Table
 // implements it through localSessions; *sessionRouter implements it
-// directly.
+// directly. Ingest borrows chunk for the length of the call and keeps
+// no reference to it: the handler recycles the buffer afterwards.
 type sessionBackend interface {
 	Open(spec session.Spec, trace string) (sessionOpened, error)
 	Ingest(id string, format session.Format, chunk []byte) (accepted, queued int, err error)
@@ -146,12 +148,20 @@ func sessionFormat(r *http.Request) session.Format {
 	return session.FormatNDJSON
 }
 
+// chunkPool recycles ingest request bodies. A backend only borrows a
+// chunk for the length of its Ingest call: the table decodes it onto
+// the session's queue, and the router forwards and journals a copy.
+var chunkPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleSessionEvents is POST /v1/sessions/{id}/events: chunked ingest.
 // 202 acknowledges the chunk (events decoded and queued — they are never
 // dropped after this); 429 + Retry-After rejects it whole, with decoder
 // state rolled back so retrying the identical bytes is lossless.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxSessionChunk, "reading events")
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	body, ok := readBodyInto(*buf, w, r, maxSessionChunk, "reading events")
+	*buf = body
 	if !ok {
 		return
 	}
@@ -160,7 +170,22 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		sessionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, sessionIngested{Accepted: accepted, Queued: queued})
+	writeIngested(w, accepted, queued)
+}
+
+// writeIngested answers 202 with the ack writeJSON would write for
+// sessionIngested{accepted, queued}, byte for byte, but without
+// reflection: the ack is the one reply every chunk gets.
+func writeIngested(w http.ResponseWriter, accepted, queued int) {
+	b := make([]byte, 0, 64)
+	b = append(b, "{\n  \"accepted\": "...)
+	b = strconv.AppendInt(b, int64(accepted), 10)
+	b = append(b, ",\n  \"queued\": "...)
+	b = strconv.AppendInt(b, int64(queued), 10)
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(b)
 }
 
 // handleSessionScores is GET /v1/sessions/{id}/scores: a point-in-time

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -773,4 +775,19 @@ func TestSessionConcurrentHTTP(t *testing.T) {
 		t.Errorf("%d sessions left open after all clients closed", s.sessions.Len())
 	}
 	t.Logf("concurrent lifecycle complete; %d backpressure rejections retried", rejected.Load())
+}
+
+// TestWriteIngestedMatchesWriteJSON: the hand-written 202 ack is
+// byte-identical to writeJSON's encoding of sessionIngested, status and
+// Content-Type included.
+func TestWriteIngestedMatchesWriteJSON(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {1, 65536}, {23, 7}, {174762, 1 << 40}, {-1, math.MaxInt}} {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(want, http.StatusAccepted, sessionIngested{Accepted: c[0], Queued: c[1]})
+		writeIngested(got, c[0], c[1])
+		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.String() != want.Body.String() {
+			t.Fatalf("ack %v: got %d %v %q, want %d %v %q", c,
+				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
+	}
 }

@@ -515,6 +515,11 @@ func (rt *sessionRouter) Ingest(id string, format session.Format, chunk []byte) 
 		return 0, 0, err
 	}
 	defer e.mu.Unlock()
+	// chunk is the handler's pooled buffer, reused once Ingest returns,
+	// but net/http may still read a request body after the reply has
+	// arrived. So forward a copy, which the journal keeps if the owner
+	// accepts it.
+	chunk = bytes.Clone(chunk)
 	rep, err := rt.forwardLocked(e, http.MethodPost, "/events", contentType(format), chunk)
 	if err != nil {
 		return 0, 0, err
@@ -522,7 +527,7 @@ func (rt *sessionRouter) Ingest(id string, format session.Format, chunk []byte) 
 	if rep.status != http.StatusAccepted {
 		return 0, 0, rt.ownerErrorLocked(e, rep)
 	}
-	if err := e.journal.Append(format, chunk); err != nil {
+	if err := e.journal.Adopt(format, chunk); err != nil {
 		// Unreachable in practice: the owner accepted the chunk, so
 		// the formats agreed there. Surface rather than diverge.
 		return 0, 0, err

@@ -30,12 +30,18 @@ func NewJournal() *Journal { return &Journal{} }
 // buffers). Appending a chunk in a different format than the first is
 // the same client error the table rejects with *FormatError.
 func (j *Journal) Append(format Format, chunk []byte) error {
+	return j.Adopt(format, append([]byte(nil), chunk...))
+}
+
+// Adopt is Append without the copy: the journal keeps chunk itself, and
+// the caller must not change it afterwards.
+func (j *Journal) Adopt(format Format, chunk []byte) error {
 	if j.format == "" {
 		j.format = format
 	} else if j.format != format {
 		return &FormatError{Have: j.format, Got: format}
 	}
-	j.chunks = append(j.chunks, append([]byte(nil), chunk...))
+	j.chunks = append(j.chunks, chunk)
 	j.nbytes += len(chunk)
 	return nil
 }

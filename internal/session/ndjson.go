@@ -213,7 +213,11 @@ func parseBool(p []byte) (bool, []byte, bool) {
 // chunked upload — the caller stashes it and prepends it to the next
 // chunk). Blank lines are skipped. A bad line fails the whole call.
 func DecodeNDJSON(data []byte) ([]trace.Event, []byte, error) {
-	return appendNDJSON(nil, nil, data, false)
+	evs, rest, err := appendNDJSON(nil, nil, data, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return evs, rest, nil
 }
 
 // appendNDJSON decodes chunk as the continuation of an NDJSON stream
@@ -228,7 +232,9 @@ func DecodeNDJSON(data []byte) ([]trace.Event, []byte, error) {
 //     line is decoded too, and the remainder is nil.
 //
 // dst grows once, by the chunk's line count. Blank lines are skipped,
-// and the first bad line fails the whole call.
+// and the first bad line fails the whole call; dst then comes back
+// holding the chunk's lines ahead of the bad one, for the caller to
+// truncate.
 func appendNDJSON(dst []trace.Event, rem, chunk []byte, final bool) ([]trace.Event, []byte, error) {
 	lines := bytes.Count(chunk, []byte{'\n'})
 	if final {
@@ -248,7 +254,7 @@ func appendNDJSON(dst []trace.Event, rem, chunk []byte, final bool) ([]trace.Eve
 			nl = len(chunk)
 		}
 		if dst, err = appendNDJSONLine(dst, append(rem[:len(rem):len(rem)], chunk[:nl]...)); err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
 		chunk = chunk[min(nl+1, len(chunk)):]
 	}
@@ -258,7 +264,7 @@ func appendNDJSON(dst []trace.Event, rem, chunk []byte, final bool) ([]trace.Eve
 			break
 		}
 		if dst, err = appendNDJSONLine(dst, chunk[:nl]); err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
 		chunk = chunk[nl+1:]
 	}
@@ -266,7 +272,7 @@ func appendNDJSON(dst []trace.Event, rem, chunk []byte, final bool) ([]trace.Eve
 		return dst, chunk, nil
 	}
 	if dst, err = appendNDJSONLine(dst, chunk); err != nil {
-		return nil, nil, err
+		return dst, nil, err
 	}
 	return dst, nil, nil
 }
@@ -279,7 +285,7 @@ func appendNDJSONLine(dst []trace.Event, line []byte) ([]trace.Event, error) {
 	}
 	ev, err := parseNDJSONLine(line)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	return append(dst, ev), nil
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"paco/internal/core"
@@ -200,7 +199,7 @@ type Session struct {
 	rel  []*metrics.Reliability // parallel to ests; nil where not probabilistic
 	cnt  []*core.CountPredictor // parallel to ests; nil where not count
 
-	inflight map[uint64][]core.Contribution
+	inflight *trace.Inflight // one row of contributions per in-flight tag
 
 	events, fetches, resolves, squashes, retires, mispredicts, cycles uint64
 
@@ -220,7 +219,7 @@ func New(spec Spec) (*Session, error) {
 		prob:     make([]core.Probabilistic, len(n.Estimators)),
 		rel:      make([]*metrics.Reliability, len(n.Estimators)),
 		cnt:      make([]*core.CountPredictor, len(n.Estimators)),
-		inflight: make(map[uint64][]core.Contribution),
+		inflight: trace.NewInflight(len(n.Estimators)),
 	}
 	for i, e := range n.Estimators {
 		switch e.Kind {
@@ -266,18 +265,16 @@ func (s *Session) Apply(ev trace.Event) error {
 	case trace.EvFetch:
 		s.fetches++
 		be := ev.Branch()
-		contribs := make([]core.Contribution, len(s.ests))
+		row := s.inflight.Put(ev.Tag)
 		for i, e := range s.ests {
-			contribs[i] = e.BranchFetched(be)
+			row[i] = e.BranchFetched(be)
 		}
-		s.inflight[ev.Tag] = contribs
 	case trace.EvResolve, trace.EvSquash:
-		contribs, ok := s.inflight[ev.Tag]
+		contribs, ok := s.inflight.Take(ev.Tag)
 		if !ok {
 			s.err = fmt.Errorf("session: tag %d resolved without fetch", ev.Tag)
 			return s.err
 		}
-		delete(s.inflight, ev.Tag)
 		for i, e := range s.ests {
 			if ev.Kind == trace.EvResolve {
 				e.BranchResolved(contribs[i])
@@ -338,7 +335,7 @@ func (s *Session) Scores() Scores {
 		Retires:    s.retires,
 		Mispredict: s.mispredicts,
 		Cycles:     s.cycles,
-		Inflight:   len(s.inflight),
+		Inflight:   s.inflight.Len(),
 		Final:      s.closed,
 	}
 	if s.err != nil {
@@ -365,25 +362,18 @@ func (s *Session) Scores() Scores {
 	return sc
 }
 
-// Close squashes dangling in-flight branches (in deterministic tag
-// order; squash subtraction is commutative, so this matches Replay's
-// map-order drain bit for bit) and returns the final snapshot. Closing
-// twice returns the same scores.
+// Close squashes dangling in-flight branches (in ascending tag order;
+// squash subtraction is commutative, so this matches Replay's drain bit
+// for bit) and returns the final snapshot. Closing twice returns the
+// same scores.
 func (s *Session) Close() Scores {
 	if !s.closed {
-		tags := make([]uint64, 0, len(s.inflight))
-		for tag := range s.inflight {
-			tags = append(tags, tag)
-		}
-		sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-		for _, tag := range tags {
-			contribs := s.inflight[tag]
-			delete(s.inflight, tag)
+		s.inflight.Drain(func(contribs []core.Contribution) {
 			for i, e := range s.ests {
 				e.BranchSquashed(contribs[i])
 			}
 			s.squashes++
-		}
+		})
 		s.closed = true
 	}
 	return s.Scores()

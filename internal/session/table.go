@@ -106,6 +106,7 @@ type shard struct {
 	sessions map[string]*entry
 	tombs    map[string]tombstone
 	dirty    []*entry
+	spare    []*entry // the worker's: the list drain swaps in for dirty
 
 	wake chan struct{} // cap 1: coalesced worker wakeups
 }
@@ -139,8 +140,7 @@ type entry struct {
 	dec    trace.Decoder // binary ingest state
 	ndrem  []byte        // NDJSON partial-line remainder
 
-	queue   [][]trace.Event
-	nqueued int
+	queue   *eventQueue // decoded, unapplied events; nil while empty
 	inDirty bool
 
 	subs map[chan Scores]struct{}
@@ -325,48 +325,67 @@ func (t *Table) Ingest(id string, format Format, chunk []byte) (accepted, queued
 		return 0, 0, &FormatError{Have: e.format, Got: format}
 	}
 
-	// Decode fully before committing anything, so a rejected chunk can
-	// be rolled back to byte-exact stream state.
-	var evs []trace.Event
+	// Decode straight onto the queue, and truncate back to mark if the
+	// chunk is rejected, so the queue is byte-exact with the stream
+	// state the decoder or the NDJSON remainder rolls back to.
+	if e.queue == nil {
+		e.queue = queuePool.Get().(*eventQueue)
+	}
+	mark := len(e.queue.evs)
 	switch format {
 	case FormatBinary:
 		snap := e.dec.Snapshot()
-		if err := e.dec.Feed(chunk, func(ev trace.Event) error {
-			evs = append(evs, ev)
+		err = e.dec.Feed(chunk, func(ev trace.Event) error {
+			e.queue.evs = append(e.queue.evs, ev)
 			return nil
-		}); err != nil {
-			e.dec.Restore(snap)
-			return 0, e.nqueued, err
+		})
+		if err == nil && t.overflows(mark, len(e.queue.evs)-mark) {
+			err = t.backpressure(mark)
 		}
-		if e.nqueued > 0 && e.nqueued+len(evs) > t.maxQueued {
+		if err != nil {
 			e.dec.Restore(snap)
-			t.metrics.Backpressure.Inc()
-			return 0, e.nqueued, &BackpressureError{RetryAfter: t.retryAfter, Queued: e.nqueued, Limit: t.maxQueued}
 		}
 	case FormatNDJSON:
 		var rest []byte
-		evs, rest, err = appendNDJSON(nil, e.ndrem, chunk, false)
-		if err != nil {
-			return 0, e.nqueued, err
+		e.queue.evs, rest, err = appendNDJSON(e.queue.evs, e.ndrem, chunk, false)
+		if err == nil && t.overflows(mark, len(e.queue.evs)-mark) {
+			err = t.backpressure(mark)
 		}
-		if e.nqueued > 0 && e.nqueued+len(evs) > t.maxQueued {
-			t.metrics.Backpressure.Inc()
-			return 0, e.nqueued, &BackpressureError{RetryAfter: t.retryAfter, Queued: e.nqueued, Limit: t.maxQueued}
+		if err == nil {
+			e.ndrem = append(e.ndrem[:0], rest...)
 		}
-		e.ndrem = append(e.ndrem[:0], rest...)
 	default:
-		return 0, 0, fmt.Errorf("session: unknown ingest format %q", format)
+		err = fmt.Errorf("session: unknown ingest format %q", format)
+	}
+	if err != nil {
+		e.queue.evs = e.queue.evs[:mark]
+		e.releaseQueueIfEmpty()
+		return 0, mark, err
 	}
 
-	if len(evs) > 0 {
-		e.queue = append(e.queue, evs)
-		e.nqueued += len(evs)
-		t.queued.Add(int64(len(evs)))
-		t.metrics.Events.Add(uint64(len(evs)))
+	n := len(e.queue.evs) - mark
+	if n > 0 {
+		t.queued.Add(int64(n))
+		t.metrics.Events.Add(uint64(n))
 		sh.markDirtyLocked(e)
 	}
+	e.releaseQueueIfEmpty()
 	t.tracker.Touch(id, t.now())
-	return len(evs), e.nqueued, nil
+	return n, mark + n, nil
+}
+
+// overflows reports whether adding n events to a queue holding queued
+// crosses the high-water mark. An empty queue always accepts, whatever
+// the chunk's size.
+func (t *Table) overflows(queued, n int) bool {
+	return queued > 0 && queued+n > t.maxQueued
+}
+
+// backpressure counts and builds the rejection of a chunk arriving at a
+// queue holding queued events.
+func (t *Table) backpressure(queued int) error {
+	t.metrics.Backpressure.Inc()
+	return &BackpressureError{RetryAfter: t.retryAfter, Queued: queued, Limit: t.maxQueued}
 }
 
 // Scores snapshots a session, reporting its current queue depth, and
@@ -574,44 +593,72 @@ func (sh *shard) drain() {
 			sh.mu.Unlock()
 			return
 		}
-		e := sh.dirty[0]
-		sh.dirty[0] = nil
-		sh.dirty = sh.dirty[1:]
-		e.inDirty = false
-		sh.applyLocked(e)
-		if len(e.subs) > 0 {
-			sc := e.snapshotLocked()
-			for ch := range e.subs {
-				sendLatest(ch, sc)
-			}
-		}
+		// Take the whole list and leave the spare in its place: the two
+		// arrays alternate, so marking a session dirty does not allocate.
+		batch := sh.dirty
+		sh.dirty = sh.spare
 		sh.mu.Unlock()
+		for i, e := range batch {
+			batch[i] = nil
+			sh.mu.Lock()
+			e.inDirty = false
+			sh.applyLocked(e)
+			if len(e.subs) > 0 {
+				sc := e.snapshotLocked()
+				for ch := range e.subs {
+					sendLatest(ch, sc)
+				}
+			}
+			sh.mu.Unlock()
+		}
+		sh.spare = batch[:0]
 	}
 }
 
-// applyLocked feeds the entry's queued batches through the session. A
-// latched stream error drops the rest of the queue — the session stops
-// evolving but keeps serving (and reporting the error in) scores.
+// applyLocked feeds the entry's queue through the session and returns
+// the queue's buffer to the pool. A latched stream error drops the rest
+// of the queue — the session stops evolving but keeps serving (and
+// reporting the error in) scores.
 func (sh *shard) applyLocked(e *entry) {
-	if e.nqueued == 0 {
+	if e.queue == nil {
 		return
 	}
-	n := e.nqueued
-	for _, batch := range e.queue {
-		if err := e.sess.ApplyAll(batch); err != nil {
-			break
-		}
-	}
-	e.queue = nil
-	e.nqueued = 0
+	n := len(e.queue.evs)
+	e.sess.ApplyAll(e.queue.evs)
+	e.queue.evs = e.queue.evs[:0]
+	e.releaseQueueIfEmpty()
 	sh.t.queued.Add(int64(-n))
 	sh.t.metrics.ApplyBatch.Observe(float64(n))
+}
+
+// eventQueue is a session's decoded-but-unapplied events, one flat
+// slice. Buffers come from queuePool and go back whenever the queue
+// empties, so an idle session holds none and no session keeps one at
+// its high-water mark.
+type eventQueue struct{ evs []trace.Event }
+
+var queuePool = sync.Pool{New: func() any { return new(eventQueue) }}
+
+// queued is the queue depth, as backpressure judges it.
+func (e *entry) queued() int {
+	if e.queue == nil {
+		return 0
+	}
+	return len(e.queue.evs)
+}
+
+// releaseQueueIfEmpty returns an empty queue's buffer to the pool.
+func (e *entry) releaseQueueIfEmpty() {
+	if e.queue != nil && len(e.queue.evs) == 0 {
+		queuePool.Put(e.queue)
+		e.queue = nil
+	}
 }
 
 // snapshotLocked snapshots the entry's session plus its queue depth.
 func (e *entry) snapshotLocked() Scores {
 	sc := e.sess.Scores()
-	sc.Queued = e.nqueued
+	sc.Queued = e.queued()
 	return sc
 }
 

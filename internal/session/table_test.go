@@ -140,14 +140,24 @@ func TestTableBackpressureLossless(t *testing.T) {
 
 	// pin/unpin simulate a worker that has not drained yet: with a
 	// nonzero queue depth at the cap, any further chunk must bounce.
+	// The depth is a stand-in queue of blank events, put in place once
+	// the worker is done with the session (only Ingest marks it dirty
+	// again), so no worker ever applies them.
 	pin := func() {
-		sh.mu.Lock()
-		sh.sessions[id].nqueued = tbl.maxQueued
-		sh.mu.Unlock()
+		for {
+			sh.mu.Lock()
+			if e := sh.sessions[id]; !e.inDirty {
+				e.queue = &eventQueue{evs: make([]trace.Event, tbl.maxQueued)}
+				sh.mu.Unlock()
+				return
+			}
+			sh.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
 	}
 	unpin := func() {
 		sh.mu.Lock()
-		sh.sessions[id].nqueued = 0
+		sh.sessions[id].queue = nil
 		sh.mu.Unlock()
 	}
 

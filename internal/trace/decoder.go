@@ -13,8 +13,8 @@ import (
 // whatever boundaries the client chose, so a `paco-trace record` file
 // pipes straight into a live session.
 //
-// The decoder buffers at most one incomplete header or record (< 64
-// bytes), never whole streams. State is snapshottable: an ingest path
+// The decoder buffers at most one incomplete header or record (under
+// 40 bytes), never whole streams. State is snapshottable: an ingest path
 // that must reject a chunk (backpressure) captures a Snapshot first and
 // Restores it on rejection, so the client can retry the identical bytes
 // and decoding resumes exactly where it left off.
@@ -31,16 +31,20 @@ type DecoderState struct {
 	headerDone bool
 	version    uint32
 	provenance [provenanceSize]byte
-	rem        []byte
+	rem        [maxPending]byte
+	nrem       uint8
 }
 
-// Snapshot captures the decoder's current state. The copy is deep — the
-// decoder buffers less than a record's worth of bytes, so this is cheap.
+// maxPending bounds what a Decoder holds between Feeds: less than a v2
+// header, which is longer than a record.
+const maxPending = 8 + provenanceSize
+
+// Snapshot captures the decoder's current state. The copy is deep and
+// fixed-size — the decoder buffers less than a header's worth of bytes
+// — so taking one allocates nothing.
 func (d *Decoder) Snapshot() DecoderState {
 	s := DecoderState{headerDone: d.headerDone, version: d.version, provenance: d.provenance}
-	if len(d.rem) > 0 {
-		s.rem = append([]byte(nil), d.rem...)
-	}
+	s.nrem = uint8(copy(s.rem[:], d.rem))
 	return s
 }
 
@@ -51,7 +55,7 @@ func (d *Decoder) Restore(s DecoderState) {
 	d.headerDone = s.headerDone
 	d.version = s.version
 	d.provenance = s.provenance
-	d.rem = append(d.rem[:0], s.rem...)
+	d.rem = append(d.rem[:0], s.rem[:s.nrem]...)
 }
 
 // HeaderDone reports whether the stream header has been fully parsed,
@@ -77,12 +81,11 @@ func (d *Decoder) Buffered() int { return len(d.rem) }
 // than re-feeding into half-consumed state.
 func (d *Decoder) Feed(chunk []byte, emit func(Event) error) error {
 	data := chunk
-	if len(d.rem) > 0 {
-		d.rem = append(d.rem, chunk...)
-		data = d.rem
-	}
-
 	if !d.headerDone {
+		if len(d.rem) > 0 {
+			d.rem = append(d.rem, chunk...)
+			data = d.rem
+		}
 		n, err := d.parseHeader(data)
 		if err != nil {
 			return err
@@ -92,6 +95,23 @@ func (d *Decoder) Feed(chunk []byte, emit func(Event) error) error {
 			return nil
 		}
 		data = data[n:]
+	} else if len(d.rem) > 0 {
+		// Complete the partial record from the chunk's head, then parse
+		// the rest of the chunk in place.
+		need := recordSize - len(d.rem)
+		if len(chunk) < need {
+			d.rem = append(d.rem, chunk...)
+			return nil
+		}
+		d.rem = append(d.rem, chunk[:need]...)
+		ev, err := parseRecord(d.rem)
+		if err != nil {
+			return err
+		}
+		if err := emit(ev); err != nil {
+			return err
+		}
+		data = chunk[need:]
 	}
 
 	for len(data) >= recordSize {

@@ -215,3 +215,53 @@ func TestDecoderEmitErrorStopsFeed(t *testing.T) {
 		t.Fatalf("post-restore decode mismatch:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestDecoderMidRecordSplitAllocs pins the in-place parse: a stream cut
+// mid-record completes the partial record from the next chunk's head
+// and parses the rest of that chunk where it lies. Once warm, a split
+// feed — with the Snapshot ingest takes before each chunk — allocates
+// nothing, and the decoder never holds more than a partial header or
+// record, however long the chunks are.
+func TestDecoderMidRecordSplitAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := w.Write(Event{Kind: EvFetch, Tag: uint64(i), PC: 0x4000 + uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := 8 + provenanceSize
+	raw := buf.Bytes()
+	var d Decoder
+	if err := d.Feed(raw[:hdr], nil); err != nil {
+		t.Fatal(err)
+	}
+	records := raw[hdr:]
+	split := 150*recordSize + 7 // the first chunk ends 7 bytes into a record
+	n := 0
+	emit := func(Event) error { n++; return nil }
+	feed := func() {
+		for _, chunk := range [][]byte{records[:split], records[split:]} {
+			_ = d.Snapshot()
+			if err := d.Feed(chunk, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed()
+	if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
+		t.Fatalf("split feed allocated %v times per pass, want 0", allocs)
+	}
+	if n != 52*200 {
+		t.Fatalf("decoded %d events over 52 passes, want %d", n, 52*200)
+	}
+	if cap(d.rem) >= maxPending {
+		t.Fatalf("decoder buffer grew to %d bytes: it copied a chunk instead of parsing in place", cap(d.rem))
+	}
+}

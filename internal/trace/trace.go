@@ -284,13 +284,11 @@ type ReplayStats struct {
 }
 
 // Replay drives a set of estimators from a trace. Dangling in-flight
-// branches at end of trace are squashed so estimator sums drain.
+// branches at end of trace are squashed so estimator sums drain; that
+// drain is not counted in Squashes.
 func Replay(r *Reader, ests []core.Estimator) (ReplayStats, error) {
 	var st ReplayStats
-	type slot struct {
-		contribs []core.Contribution
-	}
-	inflight := map[uint64]slot{}
+	inflight := NewInflight(len(ests))
 	for {
 		ev, err := r.Read()
 		if errors.Is(err, io.EOF) {
@@ -303,23 +301,20 @@ func Replay(r *Reader, ests []core.Estimator) (ReplayStats, error) {
 		case EvFetch:
 			st.Fetches++
 			be := ev.Branch()
-			s := slot{contribs: make([]core.Contribution, len(ests))}
+			row := inflight.Put(ev.Tag)
 			for i, e := range ests {
-				s.contribs[i] = e.BranchFetched(be)
+				row[i] = e.BranchFetched(be)
 			}
-			inflight[ev.Tag] = s
 		case EvResolve, EvSquash:
-			s, ok := inflight[ev.Tag]
+			row, ok := inflight.Take(ev.Tag)
 			if !ok {
 				return st, fmt.Errorf("trace: tag %d resolved without fetch", ev.Tag)
 			}
-			delete(inflight, ev.Tag)
 			for i, e := range ests {
 				if ev.Kind == EvResolve {
-					e.BranchResolved(s.contribs[i])
-
+					e.BranchResolved(row[i])
 				} else {
-					e.BranchSquashed(s.contribs[i])
+					e.BranchSquashed(row[i])
 				}
 			}
 			if ev.Kind == EvResolve {
@@ -340,10 +335,10 @@ func Replay(r *Reader, ests []core.Estimator) (ReplayStats, error) {
 			}
 		}
 	}
-	for _, s := range inflight {
+	inflight.Drain(func(row []core.Contribution) {
 		for i, e := range ests {
-			e.BranchSquashed(s.contribs[i])
+			e.BranchSquashed(row[i])
 		}
-	}
+	})
 	return st, nil
 }
