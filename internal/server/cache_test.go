@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"paco/internal/campaign"
+	"paco/internal/experiments"
 )
 
 func TestCanonicalJSONOrderInsensitive(t *testing.T) {
@@ -125,6 +126,19 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 	// A foreign file in the directory is ignored on reload.
 	os.WriteFile(filepath.Join(dir, "README"), []byte("not a key"), 0o644)
+	// An entry with one payload byte flipped fails its checksum: it is
+	// not loaded, and its file is removed.
+	flippedKey := Key([]byte("flipped"))
+	c.Put(flippedKey, []byte("other result bytes"))
+	flippedPath := filepath.Join(dir, flippedKey)
+	file, err := os.ReadFile(flippedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file[len(file)-1] ^= 1
+	if err := os.WriteFile(flippedPath, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	c2, err := NewCache(1<<20, dir)
 	if err != nil {
@@ -133,6 +147,12 @@ func TestCacheDiskPersistence(t *testing.T) {
 	got, ok := c2.Get(key)
 	if !ok || string(got) != "result bytes" {
 		t.Fatalf("reloaded Get = %q, %v", got, ok)
+	}
+	if got, ok := c2.Get(flippedKey); ok {
+		t.Fatalf("entry with a flipped byte loaded as %q", got)
+	}
+	if _, err := os.Stat(flippedPath); !os.IsNotExist(err) {
+		t.Fatalf("entry with a flipped byte still on disk: %v", err)
 	}
 	if st := c2.Stats(); st.Entries != 1 {
 		t.Fatalf("reloaded entries = %d, want 1", st.Entries)
@@ -210,4 +230,37 @@ func mustGrid(t *testing.T, raw string) campaign.Grid {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestContentAddressesGolden pins the content addresses of a fixed set
+// of specs to the values they have always had: a change to the
+// canonical form or the key derivation would orphan every stored
+// result, in memory and in every -cache-dir.
+func TestContentAddressesGolden(t *testing.T) {
+	for _, tc := range []struct{ name, spec, key string }{
+		{"default grid", `{}`,
+			"e44dbd3cd968dbc70b8a6ac17e44753e9ed4b85caf87f12bca610882a31f83f0"},
+		{"stream sweep", `{"benchmarks":["gzip","twolf"],"refresh":[10000,20000],"prob_gates":[0.1,0.3],"instructions":20000,"warmup":5000,"seed":1234567}`,
+			"ecf705d909674334161182a3c202934ba59fc43c280555ed7bdb6d8769ab194a"},
+		{"fuzz sweep", `{"fuzz":{"seed":3,"count":4},"refresh":[50000],"instructions":20000,"warmup":5000,"seed":7654321}`,
+			"b7e0632090d65a887afe1fb9f1ca692245eb868d00de63bddbc300326fafc5a6"},
+		{"family on the benchmark axis", `{"benchmarks":["loopy"]}`,
+			"a599be96bcb0b365992db778ef99b5af83f93a75bd88594dba038dd67a6fa711"},
+		{"gate 1e-7", `{"benchmarks":["gzip"],"prob_gates":[1e-7]}`,
+			"edfddabf08d26403a3d960c9157b1d289a61b9a71a1bac43c71676e35c19bf34"},
+		{"gate 0.1", `{"benchmarks":["gzip"],"prob_gates":[0.1]}`,
+			"6cc2f5a3c570b070e2379e0368527442299c72ad80c65e526e56ba8aae92e990"},
+		// A gate of 2 is outside (0,1), so the integral-float spelling
+		// is pinned on a scenario parameter.
+		{"parameter 2e0", `{"scenarios":[{"family":"server","params":{"phases":2e0}}]}`,
+			"2f7f3a67f5277f60bae77434073551acf5af0a590c3bf958885648b15807c67b"},
+	} {
+		if got := keyOf(t, tc.spec); got != tc.key {
+			t.Errorf("%s: content address %s, want %s", tc.name, got, tc.key)
+		}
+	}
+	const quickFig2 = "fa1486c48cab41e6cbf74f00015a09b3de5f35bc558545c0051aa1be4eebf45d"
+	if got, err := experimentKey("fig2", experiments.Quick()); err != nil || got != quickFig2 {
+		t.Errorf("experiment fig2 at the quick config: content address %s (%v), want %s", got, err, quickFig2)
+	}
 }

@@ -299,3 +299,147 @@ func TestGridCacheKeyPropertySpellingInvariantAndCollisionFree(t *testing.T) {
 		t.Fatalf("expanded fuzz batch keyed %s, spec form keyed %s", got, want)
 	}
 }
+
+// referenceCanonicalJSON is the canonicalization content addresses were
+// first defined by: decode the document into interface values, put its
+// numbers in normal form, and re-marshal (encoding/json sorts map
+// keys). CanonicalJSON must return the same bytes, or the same error,
+// for every input, or stored results would stop being found.
+func referenceCanonicalJSON(raw []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("server: canonicalizing spec: %w", err)
+	}
+	// Reject trailing garbage after the document.
+	if dec.More() {
+		return nil, fmt.Errorf("server: canonicalizing spec: trailing data after JSON document")
+	}
+	return json.Marshal(referenceCanonicalValue(v))
+}
+
+func referenceCanonicalValue(v any) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			x[k] = referenceCanonicalValue(e)
+		}
+		return x
+	case []any:
+		for i, e := range x {
+			x[i] = referenceCanonicalValue(e)
+		}
+		return x
+	case json.Number:
+		return referenceCanonicalNumber(x)
+	default:
+		return v
+	}
+}
+
+func referenceCanonicalNumber(n json.Number) json.RawMessage {
+	s := string(n)
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return json.RawMessage(strconv.FormatInt(i, 10))
+	}
+	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
+		return json.RawMessage(strconv.FormatUint(u, 10))
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return json.RawMessage(s)
+	}
+	if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		return json.RawMessage(strconv.FormatInt(int64(f), 10))
+	}
+	return json.RawMessage(strconv.FormatFloat(f, 'g', -1, 64))
+}
+
+// canonicalEdgeCases are documents the corpus generators do not spell:
+// escaped, non-ASCII and invalid-UTF-8 strings and keys, duplicate
+// keys, every number form the normalization treats apart, trailing
+// data, and malformed input.
+var canonicalEdgeCases = []string{
+	// Strings.
+	`"a\"b\\c\/d\b\f\n\r\t"`,
+	`"\u0041\u00e9\u00E9\u2028\u2029\u003c\u003e\u0026"`,
+	`"<tag> & more"`,
+	"\"raw \u2028 and \u2029 separators\"",
+	`"\ud83d\ude00 pair, \ud83d lone, \ud83dx, \udc00\ud800, \ud800\u0041"`,
+	`"\u0001\u001f\u007f\u0000"`,
+	"\"\x7f raw DEL\"",
+	"\"invalid \xff\xfe, overlong \xc0\xaf, surrogate \xed\xa0\x80, cut \xe2\x82\"",
+	`"ünïcødé ✓ 日本語"`,
+	"\"raw \uFFFD and escaped \\ufffd\"",
+	// Keys.
+	`{"b":1,"\u0061":2,"a":3}`,
+	`{"é":1,"e":2,"\u00e9":3,"f":4}`,
+	`{"<":1,"\u003c":2,"&":3}`,
+	"{\"\xff\":1,\"\\ufffd\":2}",
+	// Duplicates: the last value wins, wherever it sits.
+	`{"a":1,"a":2}`,
+	`{"a":{"x":1},"b":2,"a":[3]}`,
+	`{"z":{"k":1,"k":{"k":2,"j":3}},"a":0}`,
+	`[{"b":1,"a":2},{"a":1,"b":2},{"a":1,"a":1}]`,
+	// Numbers.
+	`-0`, `-0.0`, `0e0`, `1E5`, `1e+2`, `1e400`, `-1e400`, `1e-400`, `5e-324`,
+	`123456789012345678901234567890`, `18446744073709551615`, `18446744073709551616`,
+	`-9223372036854775808`, `-9223372036854775809`, `9.999999999999999e22`,
+	`1e-7`, `0.1`, `2e0`, `[1.5e300,-2.25E-3,100.000]`,
+	// Literals, empty and spaced containers.
+	`true`, `false`, `null`, `[]`, `{}`, `[[],{},[{}]]`, " \t\r\n[ 1 ,\n2 ] \n",
+	// Trailing data: a decoder stops at the first document, and does
+	// not count a closing bracket after it as more data.
+	`{"a":1} x`, `{"a":1}}`, `{"a":1} ] garbage`, `[1]]`, `1 2`, `"a" "b"`,
+	"{\"a\":1}\n", `{"a":1} ,`, `{"a":1}{"b":2}`, `3}`,
+	// Malformed.
+	``, `   `, `{`, `[1,]`, `{"a"}`, `{"a":1,}`, `tru`, `01`, `1.`, `-`,
+	"\"\x01\"", `"\q"`, `"\u12"`, `{"a" 1}`, `nul`, `[1 2]`, `{1:2}`, "\xef\xbb\xbf{}",
+	strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
+	strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+}
+
+// TestCanonicalJSONMatchesReference compares CanonicalJSON with the
+// reference over the property corpus in every spelling the generators
+// produce, and over the edge cases: same bytes, or the same error.
+func TestCanonicalJSONMatchesReference(t *testing.T) {
+	check := func(doc string) {
+		t.Helper()
+		got, err := CanonicalJSON([]byte(doc))
+		want, wantErr := referenceCanonicalJSON([]byte(doc))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+			t.Errorf("CanonicalJSON(%.200q)\n = %.200q, %v\nreference %.200q, %v", doc, got, err, want, wantErr)
+		}
+	}
+	r := rand.New(rand.NewSource(20261018))
+	for _, doc := range propCorpus(t) {
+		check(doc)
+		v := decodeAny(t, doc)
+		for i := 0; i < 8; i++ {
+			check(renderJSON(r, v, true))
+			check(renderJSON(r, v, false))
+		}
+	}
+	for _, doc := range canonicalEdgeCases {
+		check(doc)
+	}
+}
+
+// FuzzCanonicalJSON searches for an input on which CanonicalJSON and
+// the reference disagree; plain go test runs the seeds.
+func FuzzCanonicalJSON(f *testing.F) {
+	// All but the two 20 KB nesting-depth cases, which would slow every
+	// mutation.
+	for _, doc := range canonicalEdgeCases[:len(canonicalEdgeCases)-2] {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`{"benchmarks":["gzip","twolf"],"refresh":[2e4,5e4],"prob_gates":[0.2,4e-1],"seed":7}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := CanonicalJSON(raw)
+		want, wantErr := referenceCanonicalJSON(raw)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+			t.Fatalf("CanonicalJSON(%q)\n = %q, %v\nreference %q, %v", raw, got, err, want, wantErr)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,19 +63,46 @@ func doRaw(req *http.Request) (int, []byte, error) {
 	return resp.StatusCode, body, err
 }
 
-// storedPayload decodes the cache entry behind a spec, the way
-// admission decoded every hit before it kept results as stored bytes.
-func storedPayload(t *testing.T, s *Server, spec string) cachedPayload {
+// storedResults decodes the results of the cache entry behind a spec.
+func storedResults(t *testing.T, s *Server, spec string) []campaign.Result {
 	t.Helper()
 	data, ok := s.cache.Lookup(keyOf(t, spec))
 	if !ok {
 		t.Fatalf("no cache entry for %s", spec)
 	}
-	var p cachedPayload
-	if err := json.Unmarshal(data, &p); err != nil {
+	hit := parseStored(data)
+	if hit == nil {
+		t.Fatalf("cache entry for %s is not a job entry", spec)
+	}
+	var results []campaign.Result
+	if err := json.Unmarshal(hit.results, &results); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return results
+}
+
+// putJobEntry stores results under the content address of spec, as a
+// completed job would.
+func putJobEntry(t testing.TB, s *Server, grid campaign.Grid, results []campaign.Result) string {
+	t.Helper()
+	key, err := specKey(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := jobEntry(grid, results, campaign.Summarize(results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(key, data)
+	return key
+}
+
+// cachedPayload is a job's cache entry as builds before response-form
+// entries wrote it: compact JSON of spec, results and summary.
+type cachedPayload struct {
+	Spec    campaign.Grid     `json:"spec"`
+	Results []campaign.Result `json:"results"`
+	Summary campaign.Summary  `json:"summary"`
 }
 
 func jobByID(t *testing.T, s *Server, id string) *job {
@@ -103,7 +132,7 @@ func typedHitBody(j *job, results []campaign.Result) []byte {
 // /v1/jobs/{id}, /results and the SSE stream.
 func checkHitRendering(t *testing.T, s *Server, ts *httptest.Server, spec, id string, postBody []byte) {
 	t.Helper()
-	results := storedPayload(t, s, spec).Results
+	results := storedResults(t, s, spec)
 	j := jobByID(t, s, id)
 	want := typedHitBody(j, results)
 	if !bytes.Equal(postBody, want) {
@@ -167,11 +196,7 @@ func TestHitResponsesByteIdentical(t *testing.T) {
 	}
 	results[0].Stats.RetiredGood = 15000
 	results[0].Stats.BucketCorrect[3] = 17
-	data, err := json.Marshal(cachedPayload{Results: results, Summary: campaign.Summarize(results)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.cache.Put(keyOf(t, failedSpec), data)
+	putJobEntry(t, s, mustGrid(t, failedSpec), results)
 	code, failedBody := postRaw(t, ts, failedSpec)
 	var failed JobStatus
 	if err := json.Unmarshal(failedBody, &failed); code != http.StatusOK || err != nil || failed.Cache != "hit" {
@@ -206,9 +231,10 @@ func TestHitResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestUndecodableCacheEntryIsAMiss: a persisted entry that does not
-// parse is not a hit. The POST is a 202 miss counted as one, the job
-// simulates once, and its result rewrites the damaged entry.
+// TestUndecodableCacheEntryIsAMiss: a persisted entry that fails its
+// frame check — damaged, or written by an older build — is not a hit.
+// The server drops the file at load; the POST is a 202 miss counted as
+// one, the job simulates once, and its result writes the entry afresh.
 func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := testServer(t, Config{CacheDir: dir})
@@ -221,14 +247,31 @@ func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
 	}
 	s.Close()
 
+	// The same job as the parent format stored it: compact JSON, no frame.
+	legacy, err := json.Marshal(cachedPayload{
+		Spec:    mustGrid(t, tinySpec),
+		Results: storedResults(t, s, tinySpec),
+		Summary: *jobByID(t, s, st.ID).status(false).Summary,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[frameHeader+(len(good)-frameHeader)/2] ^= 0x10
 	for _, damaged := range [][]byte{
 		good[:len(good)/2],                    // truncated
-		[]byte(`{"results":{},"summary":{}}`), // valid JSON, not a result array
+		[]byte(`{"results":{},"summary":{}}`), // valid JSON, not a frame
+		legacy,                                // an older build's entry
+		flipped,                               // one payload byte flipped
+		append(bytes.Clone(good), '\n'),       // length disagrees with the file
 	} {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, ts := testServer(t, Config{CacheDir: dir})
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("damaged entry still on disk after load (%v)", err)
+		}
 		st, code := postJob(t, ts, tinySpec)
 		if code != http.StatusAccepted || st.Cache != "miss" {
 			t.Fatalf("POST over a damaged entry = %d %q, want 202 miss", code, st.Cache)
@@ -277,16 +320,7 @@ func sweepPayload(t testing.TB, s *Server, n int) (campaign.Grid, string) {
 		r.SetExtra("rms_error", 0.01*float64(i+1))
 		r.SetExtra("probe_instances", float64(40+i))
 	}
-	key, err := specKey(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(cachedPayload{Spec: g, Results: results, Summary: campaign.Summarize(results)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.cache.Put(key, data)
-	return g, key
+	return g, putJobEntry(t, s, g, results)
 }
 
 // discardWriter is a ResponseWriter that keeps only the status code, so
@@ -328,6 +362,52 @@ func TestHitAllocsIndependentOfCells(t *testing.T) {
 	t.Logf("allocations per hit: %.0f at 8 cells, %.0f at 64", small, large)
 	if large > small {
 		t.Fatalf("a 64-cell hit allocates %.0f times, an 8-cell hit %.0f: hit cost grows with the results", large, small)
+	}
+	if small > 80 {
+		t.Fatalf("an 8-cell hit allocates %.0f times, want at most 80", small)
+	}
+}
+
+// TestJobEntryRoundTrip: a job entry gives back the summary it was
+// written with, field for field, and results that decode to the ones
+// written; parseStored refuses an entry whose lengths do not fit it.
+func TestJobEntryRoundTrip(t *testing.T) {
+	if n := reflect.TypeOf(campaign.Summary{}).NumField(); n != summaryWords {
+		t.Fatalf("campaign.Summary has %d fields, job entries store %d", n, summaryWords)
+	}
+	results := []campaign.Result{{JobID: "gzip/w4", Benchmark: "gzip", Cycles: 7, IPC: 0.75,
+		Extra: map[string]float64{"rms_error": 0.5}}}
+	want := campaign.Summary{Jobs: 1, Completed: 2, Failed: 3, Skipped: 4, Cycles: 1 << 40, Retired: 6, MeanIPC: 1.0 / 3}
+	e, err := jobEntry(mustGrid(t, tinySpec), results, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := parseStored(e)
+	if hit == nil || hit.summary != want {
+		t.Fatalf("parseStored = %+v, want summary %+v", hit, want)
+	}
+	var got []campaign.Result
+	if err := json.Unmarshal(hit.results, &got); err != nil || !reflect.DeepEqual(got, results) {
+		t.Fatalf("stored results decode to %+v (%v), want %+v", got, err, results)
+	}
+	if spec := e[jobEntryHeader+len(hit.results):]; !json.Valid(spec) {
+		t.Errorf("entry's spec section is not JSON: %q", spec)
+	}
+	withLength := func(n int) []byte {
+		b := bytes.Clone(e)
+		binary.LittleEndian.PutUint64(b, uint64(n))
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"empty":           nil,
+		"short header":    e[:jobEntryHeader-1],
+		"no results":      e[:jobEntryHeader],
+		"zero length":     withLength(0),
+		"length past end": withLength(len(e)),
+	} {
+		if parseStored(bad) != nil {
+			t.Errorf("parseStored accepted an entry with %s", name)
+		}
 	}
 }
 

@@ -47,9 +47,10 @@ type job struct {
 	errMsg    string
 
 	// stored is a cache hit's results array exactly as the cache holds
-	// it (compact JSON). It is set before the job is registered and never
-	// changes, so the POST answering the hit reads it without j.mu.
-	// Typed readers decode it into results on first use (resultsLocked).
+	// it: the JSON a hit's response splices in, indented one level. It
+	// is set before the job is registered and never changes, so the POST
+	// answering the hit reads it without j.mu. Typed readers decode it
+	// into results on first use (resultsLocked).
 	stored    json.RawMessage
 	decoded   bool
 	decodeErr error

@@ -255,3 +255,48 @@ func grepMetrics(body, name string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestHTTPRequestLabels pins the request counter's route and code
+// labels: the mux pattern for a matched route, "other" for an unknown
+// path and for a method the route does not take, and the events route's
+// own pattern — whose handler must still reach the Flusher through the
+// accounting wrapper, or it would answer 500.
+func TestHTTPRequestLabels(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	st, _ := postJob(t, ts, tinySpec)
+	waitDone(t, ts, st.ID)
+	for _, tc := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/no/such/path", http.StatusNotFound},
+		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/jobs/" + st.ID + "/events", http.StatusOK},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body, err := doRaw(req)
+		if err != nil || code != tc.code {
+			t.Fatalf("%s %s = %d (%v), want %d", tc.method, tc.path, code, err, tc.code)
+		}
+		if strings.HasSuffix(tc.path, "/events") && !strings.Contains(string(body), "event: done") {
+			t.Fatalf("events stream carries no done event:\n%s", body)
+		}
+	}
+	body := scrape(t, ts.URL)
+	for _, want := range []string{
+		`paco_http_requests_total{route="POST /v1/jobs",code="202"} 1`,
+		`paco_http_requests_total{route="GET /healthz",code="200"} 1`,
+		`paco_http_requests_total{route="other",code="404"} 1`,
+		`paco_http_requests_total{route="other",code="405"} 1`,
+		`paco_http_requests_total{route="GET /v1/jobs/{id}/events",code="200"} 1`,
+		`paco_http_request_duration_seconds_count{route="other"} 2`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("want %s:\n%s", want, grepMetrics(body, "paco_http_request"))
+		}
+	}
+}

@@ -18,11 +18,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -326,19 +328,40 @@ func (s *Server) Close() {
 // histogram and status-code counter, labeled by the mux route pattern
 // so cardinality stays bounded by the route table, not by client URLs).
 func (s *Server) Handler() http.Handler {
-	stamp := version.Get().String()
+	// One header value shared by every response; nothing modifies it.
+	stamp := []string{version.Get().String()}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Paco-Version", stamp)
-		route := "other"
-		if _, pattern := s.mux.Handler(r); pattern != "" {
-			route = pattern
-		}
+		w.Header()["X-Paco-Version"] = stamp
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
+		// ServeMux.ServeHTTP records the matched pattern in r.Pattern;
+		// it stays empty for unknown paths and wrong methods.
 		s.mux.ServeHTTP(sw, r)
+		route := r.Pattern
+		if route == "" {
+			route = "other"
+		}
 		s.obs.httpDuration.With(route).Observe(time.Since(start).Seconds())
-		s.obs.httpRequests.With(route, strconv.Itoa(sw.code)).Inc()
+		s.obs.httpRequests.With(route, statusLabel(sw.code)).Inc()
 	})
+}
+
+// statusCodes spells every status from 100 to 599, three digits each,
+// so the request counter's code label is a substring, not a formatting.
+var statusCodes = func() string {
+	b := make([]byte, 0, 3*500)
+	for code := 100; code < 600; code++ {
+		b = strconv.AppendInt(b, int64(code), 10)
+	}
+	return string(b)
+}()
+
+func statusLabel(code int) string {
+	if code < 100 || code >= 600 {
+		return strconv.Itoa(code)
+	}
+	i := 3 * (code - 100)
+	return statusCodes[i : i+3]
 }
 
 // statusWriter captures the response status for the request counter. It
@@ -370,15 +393,6 @@ func (s *Server) SimulationsRun() uint64 { return s.simsRun.Load() }
 
 // CacheStats exposes the content-addressed cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// cachedPayload is what the cache stores per key: everything durable
-// about a completed job (identity fields like job id and timestamps stay
-// out, so the bytes are a pure function of the spec).
-type cachedPayload struct {
-	Spec    campaign.Grid     `json:"spec"`
-	Results []campaign.Result `json:"results"`
-	Summary campaign.Summary  `json:"summary"`
-}
 
 // errorJSON writes a JSON error body with the given status.
 func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
@@ -502,35 +516,27 @@ func writeAdmission(w http.ResponseWriter, j *job, outcome string) {
 		writeJSON(w, http.StatusAccepted, st)
 		return
 	}
-	body := hitBody(st, j.stored)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeHit(w, st, j.stored)
 }
 
-// hitBody renders a hit's response: st (its status without results)
+// writeHit writes a hit's 200 response: st (its status without results)
 // with the stored results spliced in, byte-identical to what
 // writeJSON(st with the decoded results) writes. MarshalIndent is
 // writeJSON's encoding without the trailing newline; "results" is the
 // last member a hit's status renders (its error is empty, and a grid
-// has at least one cell); and the stored bytes are json.Marshal of the
-// results, which re-encoding their decoded form reproduces, so indenting
-// them one level deep yields the encoder's bytes.
-func hitBody(st JobStatus, stored json.RawMessage) []byte {
+// has at least one cell); and the stored results are the encoder's
+// bytes for the results one level deep (see jobEntry).
+func writeHit(w http.ResponseWriter, st JobStatus, results json.RawMessage) {
 	head, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		panic(err) // a JobStatus of plain fields always marshals
 	}
-	// Indenting a sweep's results a level deep a little more than
-	// doubles them; size the buffer so that takes one allocation.
-	buf := bytes.NewBuffer(make([]byte, 0, len(head)+3*len(stored)))
-	buf.Write(head[:len(head)-len("\n}")])
-	buf.WriteString(",\n  \"results\": ")
-	if err := json.Indent(buf, stored, "  ", "  "); err != nil {
-		panic(err) // parseStored validated the entry
-	}
-	buf.WriteString("\n}\n")
-	return buf.Bytes()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(head[:len(head)-len("\n}")])
+	io.WriteString(w, ",\n  \"results\": ")
+	w.Write(results)
+	io.WriteString(w, "\n}\n")
 }
 
 // specKey computes the content address of a normalized grid: SHA-256
@@ -549,26 +555,70 @@ func specKey(grid campaign.Grid) (string, error) {
 	return Key([]byte("job"), canon), nil
 }
 
-// storedHit is a cached job entry as admission reads it: the results
-// array exactly as stored, not decoded, and the summary. The stored
-// spec is skipped; the request's own grid has the same content address.
-type storedHit struct {
-	Results json.RawMessage  `json:"results"`
-	Summary campaign.Summary `json:"summary"`
+// A job's cache entry is the completed job in the form a hit answers
+// with, so a hit does no JSON work: a little-endian uint64 giving the
+// length of the results section, the summary as summaryWords
+// little-endian 8-byte words, the results, and the spec. The results
+// are json.MarshalIndent's bytes one level deep, exactly what writeHit
+// splices into the status document; the compact spec JSON is kept so
+// an entry can be inspected. Identity fields like the job id and
+// timestamps stay out, so the bytes are a pure function of the spec.
+const jobEntryHeader = 8 + 8*summaryWords
+
+// summaryWords is the number of fields of campaign.Summary.
+const summaryWords = 7
+
+// jobEntry encodes a completed job as its cache entry.
+func jobEntry(spec campaign.Grid, results []campaign.Result, summary campaign.Summary) ([]byte, error) {
+	indented, err := json.MarshalIndent(results, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	e := make([]byte, 0, jobEntryHeader+len(indented)+len(specJSON))
+	e = binary.LittleEndian.AppendUint64(e, uint64(len(indented)))
+	for _, v := range [summaryWords]uint64{
+		uint64(summary.Jobs), uint64(summary.Completed), uint64(summary.Failed), uint64(summary.Skipped),
+		summary.Cycles, summary.Retired, math.Float64bits(summary.MeanIPC),
+	} {
+		e = binary.LittleEndian.AppendUint64(e, v)
+	}
+	e = append(e, indented...)
+	return append(e, specJSON...), nil
 }
 
-// parseStored reads a cached job entry, or returns nil when it is not
-// one (a foreign or damaged file in the persistence dir): such a lookup
-// counts as a miss and the job is simulated again, rewriting the entry.
-func parseStored(data []byte) *storedHit {
-	var h storedHit
-	if json.Unmarshal(data, &h) != nil {
+// storedHit is a job's cache entry as admission reads it: the results
+// section, still bytes, and the summary. The spec is skipped; the
+// request's own grid has the same content address.
+type storedHit struct {
+	results json.RawMessage
+	summary campaign.Summary
+}
+
+// parseStored reads a job's cache entry, or returns nil when its
+// section lengths do not fit it: such a lookup counts as a miss and the
+// job is simulated again, rewriting the entry. Only the lengths are
+// checked — the bytes were written by jobEntry in this process, or
+// passed the cache's frame check when they were loaded from disk.
+func parseStored(e []byte) *storedHit {
+	if len(e) < jobEntryHeader {
 		return nil
 	}
-	if len(h.Results) == 0 || h.Results[0] != '[' {
+	n := binary.LittleEndian.Uint64(e)
+	if n == 0 || n > uint64(len(e)-jobEntryHeader) {
 		return nil
 	}
-	return &h
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(e[8+8*i:]) }
+	return &storedHit{
+		results: e[jobEntryHeader : jobEntryHeader+int(n)],
+		summary: campaign.Summary{
+			Jobs: int(word(0)), Completed: int(word(1)), Failed: int(word(2)), Skipped: int(word(3)),
+			Cycles: word(4), Retired: word(5), MeanIPC: math.Float64frombits(word(6)),
+		},
+	}
 }
 
 // submit implements the content-addressed admission path. The cache
@@ -607,7 +657,7 @@ func (s *Server) admit(grid campaign.Grid, key string, cells int, trace string, 
 	if hit != nil {
 		s.countLookup(true)
 		j := newJob(s.nextIDLocked(), key, grid, cells, trace)
-		j.completeFromCache(hit.Results, hit.Summary)
+		j.completeFromCache(hit.results, hit.summary)
 		s.registerJobLocked(j)
 		return j, "hit", nil
 	}
@@ -774,7 +824,7 @@ func (s *Server) runJob(j *job) {
 	summary := campaign.Summarize(results)
 	// Cache before marking done: a client that polls "done" and
 	// immediately re-POSTs the spec must find the cache populated.
-	if data, err := json.Marshal(cachedPayload{Spec: j.grid, Results: results, Summary: summary}); err == nil {
+	if data, err := jobEntry(j.grid, results, summary); err == nil {
 		s.cache.Put(j.key, data)
 	}
 	j.complete(results, summary)
@@ -932,21 +982,28 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-func (s *Server) experimentReport(name string) ([]byte, error) {
-	// Workers is execution parallelism only — reports are byte-identical
-	// at any worker count (the campaign engine's core guarantee) — so it
-	// must not perturb the content address.
-	keyCfg := s.expCfg
-	keyCfg.Workers = 0
-	cfgJSON, err := json.Marshal(keyCfg)
+// experimentKey is the content address of experiment name's report
+// under cfg. Workers is execution parallelism only — reports are
+// byte-identical at any worker count (the campaign engine's core
+// guarantee) — so it does not perturb the address.
+func experimentKey(name string, cfg experiments.Config) (string, error) {
+	cfg.Workers = 0
+	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	canon, err := CanonicalJSON(cfgJSON)
 	if err != nil {
+		return "", err
+	}
+	return Key([]byte("experiment"), []byte(name), canon), nil
+}
+
+func (s *Server) experimentReport(name string) ([]byte, error) {
+	key, err := experimentKey(name, s.expCfg)
+	if err != nil {
 		return nil, err
 	}
-	key := Key([]byte("experiment"), []byte(name), canon)
 	data, cached := s.cache.Get(key)
 	s.obs.lookup("experiment", cached)
 	if cached {
