@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/url"
 	"os"
 	"strings"
@@ -86,14 +85,13 @@ func watch(base string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
 	for poll := 0; *n == 0 || poll < *n; poll++ {
 		if poll > 0 {
 			time.Sleep(*interval)
 		}
 		q := url.Values{}
 		q.Set("points", fmt.Sprint(*points))
-		resp, err := client.Get(base + "/v1/timeseries?" + q.Encode())
+		resp, err := get(base + "/v1/timeseries?" + q.Encode())
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -19,9 +17,11 @@ import (
 
 // sessions is a load generator for the estimator-session surface: open
 // N sessions, stream deterministic synthetic branch events into each
-// from -concurrency streamers, close, and report throughput. Against a
-// routing coordinator (-route-sessions) the opens spread across the
-// federation, so it doubles as a routed-topology exerciser. With
+// from -concurrency streamers through session.Client (one stream, with
+// the client's default 429 retry budget, per session), close, and
+// report throughput. Against a routing coordinator (-route-sessions)
+// the opens spread across the federation, so it doubles as a
+// routed-topology exerciser. With
 // -verify each DELETE response is byte-compared against an offline
 // session.Replay of the same events — the protocol's determinism
 // contract, checked end to end over HTTP.
@@ -45,52 +45,49 @@ func sessions(base string, args []string) error {
 	if err != nil {
 		return err
 	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
 
+	// -concurrency streamers take the next session index until all
+	// are done; each records its outcome in its own slot.
+	type result struct {
+		retries int
+		worker  string
+		err     error
+	}
 	var (
-		wg         sync.WaitGroup
-		sem        = make(chan struct{}, *concurrency)
-		errs       = make(chan error, *count)
-		totalEv    atomic.Int64
-		total429   atomic.Int64
-		byWorkerMu sync.Mutex
-		byWorker   = map[string]int{}
+		c       = session.NewClient(base)
+		results = make([]result, *count)
+		next    atomic.Int64
+		wg      sync.WaitGroup
 	)
 	start := time.Now()
-	for i := 0; i < *count; i++ {
+	for range min(*concurrency, *count) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ev, retried, worker, err := streamOneSession(base, specJSON, spec, *seed+int64(i), *events, *chunk, *verify)
-			totalEv.Add(int64(ev))
-			total429.Add(int64(retried))
-			if worker != "" {
-				byWorkerMu.Lock()
-				byWorker[worker]++
-				byWorkerMu.Unlock()
+			for i := int(next.Add(1)) - 1; i < *count; i = int(next.Add(1)) - 1 {
+				r := &results[i]
+				r.retries, r.worker, r.err = streamOneSession(c, spec, *seed+int64(i), *events, *chunk, *verify)
 			}
-			if err != nil {
-				errs <- fmt.Errorf("session %d: %w", i, err)
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	close(errs)
 	elapsed := time.Since(start)
 
-	failed := 0
-	for err := range errs {
-		failed++
-		fmt.Fprintln(os.Stderr, "sessions:", err)
+	failed, retries, byWorker := 0, 0, map[string]int{}
+	for i, r := range results {
+		retries += r.retries
+		if r.worker != "" {
+			byWorker[r.worker]++
+		}
+		if r.err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "sessions: session %d: %v\n", i, r.err)
+		}
 	}
+	streamed := (*count - failed) * *events
 	fmt.Printf("sessions: %d streamed (%d failed) in %v — %.1f sessions/sec, %.0f events/sec, %d backpressure retries\n",
 		*count, failed, elapsed.Round(time.Millisecond),
-		float64(*count)/elapsed.Seconds(), float64(totalEv.Load())/elapsed.Seconds(), total429.Load())
+		float64(*count)/elapsed.Seconds(), float64(streamed)/elapsed.Seconds(), retries)
 	if len(byWorker) > 0 {
 		fmt.Printf("  placement:")
 		for w, n := range byWorker {
@@ -107,100 +104,62 @@ func sessions(base string, args []string) error {
 	return nil
 }
 
-// streamOneSession drives one full session lifecycle: open, stream the
-// seeded synthetic trace in chunks (retrying 429s with the identical
-// bytes), DELETE, and optionally verify the final scores against
-// offline replay. Returns events streamed, 429 retries, and the owning
-// worker (empty against a non-routing server).
-func streamOneSession(base string, specJSON []byte, spec session.Spec, seed int64, events, chunkSize int, verify bool) (int, int, string, error) {
-	evs := session.SyntheticEvents(seed, events)
+// streamOneSession drives one full session lifecycle through c: open,
+// stream the seeded synthetic trace in chunks, close, and optionally
+// verify the final scores against offline replay. Returns the 429
+// retries spent and the owning worker (empty against a non-routing
+// server).
+func streamOneSession(c *session.Client, spec session.Spec, seed int64, events, chunkSize int, verify bool) (int, string, error) {
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf)
 	if err != nil {
-		return 0, 0, "", err
+		return 0, "", err
 	}
-	for _, ev := range evs {
+	for _, ev := range session.SyntheticEvents(seed, events) {
 		if err := w.Write(ev); err != nil {
-			return 0, 0, "", err
+			return 0, "", err
 		}
 	}
 	if err := w.Flush(); err != nil {
-		return 0, 0, "", err
+		return 0, "", err
 	}
 	raw := buf.Bytes()
 
-	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(specJSON))
+	opened, err := c.Open(spec)
 	if err != nil {
-		return 0, 0, "", err
+		return 0, "", err
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return 0, 0, "", fmt.Errorf("open: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var opened struct {
-		ID     string `json:"id"`
-		Worker string `json:"worker"`
-	}
-	if err := json.Unmarshal(body, &opened); err != nil {
-		return 0, 0, "", err
-	}
-
-	retried := 0
-	for off := 0; off < len(raw); {
+	st := c.Stream(opened.ID, session.FormatBinary)
+	for off := 0; off < len(raw); off += chunkSize {
 		end := min(off+chunkSize, len(raw))
-		for {
-			resp, err := http.Post(base+"/v1/sessions/"+opened.ID+"/events",
-				"application/octet-stream", bytes.NewReader(raw[off:end]))
-			if err != nil {
-				return 0, retried, opened.Worker, err
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				break
-			}
-			if resp.StatusCode != http.StatusTooManyRequests {
-				return 0, retried, opened.Worker, fmt.Errorf("ingest: HTTP %d", resp.StatusCode)
-			}
-			retried++
-			time.Sleep(10 * time.Millisecond)
+		if _, err := st.PostChunk(raw[off:end]); err != nil {
+			return st.Retries(), opened.Worker, err
 		}
-		off = end
 	}
+	final, err := c.Close(opened.ID)
+	if err == nil && verify {
+		err = verifyFinal(final, raw, spec)
+	}
+	return st.Retries(), opened.Worker, err
+}
 
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/sessions/"+opened.ID, nil)
+// verifyFinal byte-compares a final scores document against offline
+// replay of the trace bytes raw.
+func verifyFinal(final, raw []byte, spec session.Spec) error {
+	r, err := trace.NewReader(bytes.NewReader(raw))
 	if err != nil {
-		return 0, retried, opened.Worker, err
+		return err
 	}
-	resp, err = http.DefaultClient.Do(req)
+	offline, err := session.Replay(r, spec)
 	if err != nil {
-		return 0, retried, opened.Worker, err
+		return err
 	}
-	final, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, retried, opened.Worker, fmt.Errorf("close: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(final))
+	want, err := json.MarshalIndent(offline, "", "  ")
+	if err != nil {
+		return err
 	}
-
-	if verify {
-		r, err := trace.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return len(evs), retried, opened.Worker, err
-		}
-		offline, err := session.Replay(r, spec)
-		if err != nil {
-			return len(evs), retried, opened.Worker, err
-		}
-		want, err := json.MarshalIndent(offline, "", "  ")
-		if err != nil {
-			return len(evs), retried, opened.Worker, err
-		}
-		want = append(want, '\n')
-		if !bytes.Equal(final, want) {
-			return len(evs), retried, opened.Worker,
-				fmt.Errorf("final scores differ from offline replay:\n got %s\nwant %s", final, want)
-		}
+	if want = append(want, '\n'); !bytes.Equal(final, want) {
+		return fmt.Errorf("final scores differ from offline replay:\n got %s\nwant %s", final, want)
 	}
-	return len(evs), retried, opened.Worker, nil
+	return nil
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"paco/internal/server"
@@ -68,4 +72,56 @@ func TestSessionsRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"sessions", "http://127.0.0.1:0", "-chunk", "0"}); err == nil {
 		t.Fatal("-chunk 0 accepted")
 	}
+}
+
+// TestSessionsRetriesBackpressure answers every third events POST with
+// 429 and Retry-After: 0 before the real handler sees it. The client
+// resends the identical chunk after the floored delay, so every final
+// still verifies, and the summary counts the retries.
+func TestSessionsRetriesBackpressure(t *testing.T) {
+	var posts atomic.Int64
+	ts := sessionServer(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/events") && posts.Add(1)%3 == 0 {
+				w.Header().Set("Retry-After", "0")
+				w.WriteHeader(http.StatusTooManyRequests)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	out, err := captureStdout(t, func() error {
+		return run(append([]string{"sessions", ts.URL}, sessionsArgs...))
+	})
+	if err != nil {
+		t.Fatalf("sessions -verify under backpressure: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "verify: 6/6 finals byte-identical") {
+		t.Fatalf("summary lacks 6/6 verified finals:\n%s", out)
+	}
+	m := regexp.MustCompile(`(\d+) backpressure retries`).FindStringSubmatch(out)
+	if m == nil || m[1] == "0" {
+		t.Fatalf("summary shows no backpressure retries:\n%s", out)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns what fn printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-done, err
 }

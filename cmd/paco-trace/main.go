@@ -32,16 +32,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"paco/internal/core"
@@ -259,10 +255,10 @@ func replay(args []string) error {
 }
 
 // stream pushes a recorded trace into a live paco-serve estimator
-// session: open, POST the raw trace bytes in chunks (the server's
-// incremental decoder accepts splits anywhere, even mid-record), honor
-// 429 backpressure by retrying the identical chunk after Retry-After,
-// and close. The final scores document — the DELETE response — goes to
+// session through session.Client: open, POST the raw trace bytes in
+// chunks (the server's incremental decoder accepts splits anywhere,
+// even mid-record; a 429 resends the identical chunk after Retry-After),
+// and close. The final scores document, the DELETE response, goes to
 // stdout verbatim, so it byte-compares against `replay -scores`;
 // rolling progress goes to stderr.
 func stream(args []string) error {
@@ -275,7 +271,7 @@ func stream(args []string) error {
 	chunkSize := fs.Int("chunk", 64<<10, "ingest chunk size in bytes")
 	rate := fs.Float64("rate", 0, "pace ingest at this many events/sec (0 = as fast as the server accepts)")
 	interval := fs.Duration("interval", time.Second, "rolling score report period on stderr (0 disables)")
-	retryBudget := fs.Int("retry-budget", 10000, "abort after this many total 429 backpressure retries (0 = unlimited)")
+	retryBudget := fs.Int("retry-budget", session.DefaultRetryBudget, "abort after this many total 429 backpressure retries (0 = unlimited)")
 	fs.Parse(args)
 
 	if *chunkSize <= 0 {
@@ -290,26 +286,14 @@ func stream(args []string) error {
 	if err != nil {
 		return err
 	}
-	specJSON, err := json.Marshal(spec)
+	c := session.NewClient(*server)
+	c.RetryBudget = *retryBudget
+	if c.RetryBudget == 0 {
+		c.RetryBudget = -1 // the flag's "unlimited"
+	}
+	opened, err := c.Open(spec)
 	if err != nil {
 		return err
-	}
-	resp, err := http.Post(*server+"/v1/sessions", "application/json", bytes.NewReader(specJSON))
-	if err != nil {
-		return err
-	}
-	opened := struct {
-		ID     string `json:"id"`
-		Key    string `json:"key"`
-		Worker string `json:"worker"`
-	}{}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("open session: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	if err := json.Unmarshal(body, &opened); err != nil {
-		return fmt.Errorf("open session: %w", err)
 	}
 	owner := ""
 	if opened.Worker != "" {
@@ -324,18 +308,12 @@ func stream(args []string) error {
 		start     = time.Now()
 		lastPrint = start
 		accepted  int
-		rejected  int
 		chunks    int
+		st        = c.Stream(opened.ID, session.FormatBinary)
 	)
-	eventsURL := *server + "/v1/sessions/" + opened.ID + "/events"
-	budget := *retryBudget
-	if budget == 0 {
-		budget = -1 // flag's "unlimited"; postChunk never exhausts a negative budget
-	}
 	for off := 0; off < len(raw); {
 		end := min(off+*chunkSize, len(raw))
-		n, retries, err := postChunk(eventsURL, raw[off:end], &budget)
-		rejected += retries
+		n, err := st.PostChunk(raw[off:end])
 		if err != nil {
 			return fmt.Errorf("chunk at offset %d: %w", off, err)
 		}
@@ -353,105 +331,27 @@ func stream(args []string) error {
 		}
 		if *interval > 0 && time.Since(lastPrint) >= *interval {
 			lastPrint = time.Now()
-			printRolling(os.Stderr, *server, opened.ID, accepted)
+			printRolling(os.Stderr, c, opened.ID, accepted)
 		}
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, *server+"/v1/sessions/"+opened.ID, nil)
+	final, err := c.Close(opened.ID)
 	if err != nil {
 		return err
-	}
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	final, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("close session: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(final))
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "streamed %d events in %d chunks (%d backpressure retries) in %v (%.0f events/sec)\n",
-		accepted, chunks, rejected, elapsed.Round(time.Millisecond),
+		accepted, chunks, st.Retries(), elapsed.Round(time.Millisecond),
 		float64(accepted)/elapsed.Seconds())
 	_, err = os.Stdout.Write(final)
 	return err
 }
 
-// errBackpressureBudget aborts a stream whose server keeps answering
-// 429: the retry budget is a liveness guard, not pacing — a healthy
-// server drains its queue and accepts the retried chunk long before the
-// budget runs out.
-var errBackpressureBudget = errors.New("backpressure retry budget exhausted (-retry-budget)")
-
-// minRetryAfter floors the 429 backoff. Servers may hint "0" or a
-// sub-millisecond fraction (a queue expected to drain imminently), but
-// honoring that verbatim spins the client against a slow server.
-const minRetryAfter = 50 * time.Millisecond
-
-// postChunk posts one ingest chunk, retrying the identical bytes on
-// 429 backpressure: the server rolls its decoder back on reject, so the
-// re-sent chunk loses and duplicates nothing. Each retry decrements
-// *budget; exhausting it returns errBackpressureBudget (a negative
-// budget never runs out). Returns accepted events and retries consumed.
-func postChunk(eventsURL string, chunk []byte, budget *int) (accepted, retries int, err error) {
-	for {
-		resp, err := http.Post(eventsURL, "application/octet-stream", bytes.NewReader(chunk))
-		if err != nil {
-			return accepted, retries, err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if *budget == 0 {
-				return accepted, retries, errBackpressureBudget
-			}
-			if *budget > 0 {
-				*budget--
-			}
-			retries++
-			time.Sleep(retryAfter(resp))
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return accepted, retries, fmt.Errorf("ingest: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-		}
-		var ack struct {
-			Accepted int `json:"accepted"`
-			Queued   int `json:"queued"`
-		}
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return accepted, retries, fmt.Errorf("ingest ack: %w", err)
-		}
-		return accepted + ack.Accepted, retries, nil
-	}
-}
-
-// retryAfter reads a 429's Retry-After header as decimal seconds —
-// fractional hints are honored, not truncated to zero — clamped to
-// minRetryAfter, defaulting to one second when absent or unparseable.
-func retryAfter(resp *http.Response) time.Duration {
-	s, err := strconv.ParseFloat(resp.Header.Get("Retry-After"), 64)
-	if err != nil || s != s { // unparseable or NaN
-		return time.Second
-	}
-	d := time.Duration(s * float64(time.Second))
-	if d < minRetryAfter {
-		return minRetryAfter
-	}
-	return d
-}
-
 // printRolling reports one rolling-score line on w: the server-side
 // snapshot next to the client's acknowledged-event count.
-func printRolling(w io.Writer, server, id string, sent int) {
-	resp, err := http.Get(server + "/v1/sessions/" + id + "/scores")
+func printRolling(w io.Writer, c *session.Client, id string, sent int) {
+	sc, err := c.Scores(id)
 	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var sc session.Scores
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&sc) != nil {
 		return
 	}
 	line := fmt.Sprintf("sent %d: applied=%d queued=%d inflight=%d", sent, sc.Events, sc.Queued, sc.Inflight)

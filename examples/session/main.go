@@ -1,8 +1,9 @@
-// Example session is a minimal live-estimator-session client: it opens
-// a session on a running paco-serve, subscribes to the /live SSE score
-// stream, streams a synthetic branch-event workload as NDJSON chunks
-// (honoring 429 backpressure by retrying the identical chunk), and
-// closes the session to collect the final scores.
+// Example session is a minimal live-estimator-session client built on
+// session.Client: it opens a session on a running paco-serve,
+// subscribes to the /live SSE score stream, streams a synthetic
+// branch-event workload as NDJSON chunks (the client retries a 429
+// with the identical chunk), and closes the session to collect the
+// final scores.
 //
 // Start a server first, then run the client:
 //
@@ -11,45 +12,30 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	"paco/internal/session"
-	"paco/internal/trace"
 )
 
 func main() {
 	addr := flag.String("addr", "http://localhost:8344", "paco-serve base URL")
-	branches := flag.Int("branches", 2000, "synthetic branches to stream")
+	branches := flag.Int("branches", 8000, "synthetic branch events to stream")
 	chunk := flag.Int("chunk", 200, "events per ingest chunk")
 	flag.Parse()
 
 	// Open a session: PaCo next to the count baseline, so the live
 	// stream shows both scores evolving over the same events.
-	spec := `{"estimators":[{"kind":"paco"},{"kind":"count","threshold":3}]}`
-	resp, err := http.Post(*addr+"/v1/sessions", "application/json", strings.NewReader(spec))
+	c := session.NewClient(*addr)
+	opened, err := c.Open(session.Spec{Estimators: []session.EstimatorSpec{
+		{Kind: session.KindPaCo},
+		{Kind: session.KindCount, Threshold: 3},
+	}})
 	if err != nil {
 		log.Fatal(err)
-	}
-	var opened struct {
-		ID  string `json:"id"`
-		Key string `json:"key"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&opened); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	if opened.ID == "" {
-		log.Fatalf("session rejected (HTTP %d)", resp.StatusCode)
 	}
 	fmt.Printf("session %s (key %.12s…)\n", opened.ID, opened.Key)
 
@@ -57,32 +43,26 @@ func main() {
 	// stream opens with the current snapshot, coalesces to the latest
 	// scores after each server-side drain, and ends with a "final" event
 	// once the session closes.
-	live, err := http.Get(*addr + "/v1/sessions/" + opened.ID + "/live")
+	live, err := c.Live(opened.ID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer live.Body.Close()
+	defer live.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sc := bufio.NewScanner(live.Body)
-		var event string
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				fmt.Printf("  [%s] %s\n", event, strings.TrimPrefix(line, "data: "))
-			}
+		for event, data := range session.Frames(live) {
+			fmt.Printf("  [%s] %s\n", event, data)
 		}
 	}()
 
-	// Stream the workload as NDJSON chunks. A 429 means the session's
-	// queue is over its high-water mark and the chunk was NOT consumed:
-	// wait out Retry-After and resend the identical bytes.
-	events := synthesize(*branches)
-	eventsURL := *addr + "/v1/sessions/" + opened.ID + "/events"
+	// Stream a synthetic workload (real clients replay paco-trace
+	// recordings instead; see `paco-trace stream`) as NDJSON chunks. A
+	// 429 means the session's queue is over its high-water mark and the
+	// chunk was NOT consumed: PostChunk waits out Retry-After and resends
+	// the identical bytes.
+	events := session.SyntheticEvents(1, *branches)
+	st := c.Stream(opened.ID, session.FormatNDJSON)
 	for off := 0; off < len(events); off += *chunk {
 		end := min(off+*chunk, len(events))
 		var buf bytes.Buffer
@@ -93,38 +73,22 @@ func main() {
 			}
 			buf.Write(line)
 		}
-		for {
-			resp, err := http.Post(eventsURL, "application/x-ndjson", bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				log.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-				time.Sleep(time.Duration(max(secs, 1)) * time.Second)
-				continue
-			}
-			if resp.StatusCode != http.StatusAccepted {
-				log.Fatalf("ingest rejected (HTTP %d)", resp.StatusCode)
-			}
-			break
+		if _, err := st.PostChunk(buf.Bytes()); err != nil {
+			log.Fatal(err)
 		}
 	}
 
 	// Close: the server drains the queue, squashes in-flight branches,
 	// and returns the final scores — the same document offline replay of
 	// this event stream produces.
-	req, _ := http.NewRequest(http.MethodDelete, *addr+"/v1/sessions/"+opened.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
+	raw, err := c.Close(opened.ID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var final session.Scores
-	if err := json.NewDecoder(resp.Body).Decode(&final); err != nil {
+	if err := json.Unmarshal(raw, &final); err != nil {
 		log.Fatal(err)
 	}
-	resp.Body.Close()
 	<-done // the live stream ends after its "final" event
 
 	fmt.Printf("final: %d events, %d retires, %d mispredicts\n",
@@ -137,30 +101,4 @@ func main() {
 			fmt.Printf("  %s: low-confidence count=%d\n", e.Kind, *e.LowConfidence)
 		}
 	}
-}
-
-// synthesize generates a well-formed branch-event stream: each branch
-// fetches, waits a few cycles, resolves, and retires; every 16th
-// retire reports a mispredict, so the estimators have something to
-// learn. (Real clients replay paco-trace recordings instead — see the
-// `paco-trace stream` subcommand.)
-func synthesize(n int) []trace.Event {
-	var evs []trace.Event
-	cycle := uint64(0)
-	for i := 0; i < n; i++ {
-		pc := uint64(0x4000 + 16*(i%64))
-		mdc := uint8(i % 16)
-		correct := i%16 != 0
-		flags := uint8(1) // conditional
-		evs = append(evs, trace.Event{Kind: trace.EvFetch, Tag: uint64(i), PC: pc, History: uint32(i), MDC: mdc, Flags: flags})
-		cycle += 3
-		evs = append(evs, trace.Event{Kind: trace.EvCycle, PC: cycle})
-		evs = append(evs, trace.Event{Kind: trace.EvResolve, Tag: uint64(i)})
-		retireFlags := flags
-		if correct {
-			retireFlags |= 2
-		}
-		evs = append(evs, trace.Event{Kind: trace.EvRetire, PC: pc, History: uint32(i), MDC: mdc, Flags: retireFlags})
-	}
-	return evs
 }

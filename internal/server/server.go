@@ -441,6 +441,21 @@ func readBodyInto(dst []byte, w http.ResponseWriter, r *http.Request, limit int6
 	}
 }
 
+// decodeSpec decodes a request body holding exactly one JSON document
+// into v: unknown fields and anything but whitespace after the document
+// are errors.
+func decodeSpec(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
+		return errors.New("trailing data after the spec")
+	}
+	return nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -459,9 +474,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var grid campaign.Grid
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&grid); err != nil {
+	if err := decodeSpec(body, &grid); err != nil {
 		errorJSON(w, http.StatusBadRequest, "parsing job spec: %v", err)
 		return
 	}

@@ -497,3 +497,45 @@ func TestGridTooLarge(t *testing.T) {
 		t.Fatalf("oversized grid accepted with %d", code)
 	}
 }
+
+// TestSpecTrailingDataRejected: a job or session spec body must hold
+// exactly one JSON document. A second document, a stray closing brace
+// or garbage after it answers 400 without submitting anything;
+// trailing whitespace is still fine.
+func TestSpecTrailingDataRejected(t *testing.T) {
+	s, ts := testServer(t, Config{JobWorkers: 1, QueueSize: 4, CacheBytes: 1 << 20})
+	for _, ep := range []struct {
+		path, spec string
+		ok         int
+	}{
+		{"/v1/jobs", tinySpec, http.StatusAccepted},
+		{"/v1/sessions", `{"estimators":[{"kind":"paco"}]}`, http.StatusCreated},
+	} {
+		for _, tail := range []string{` {"benchmarks":["twolf"]}`, `}`, " garbage", "\n{}"} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(ep.spec+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("trailing data")) {
+				t.Errorf("POST %s %q → %d %s, want 400 naming the trailing data", ep.path, ep.spec+tail, resp.StatusCode, body)
+			}
+		}
+		resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(ep.spec+" \n\t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != ep.ok {
+			t.Errorf("POST %s with trailing whitespace → %d, want %d", ep.path, resp.StatusCode, ep.ok)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 1 || s.sessions.Len() != 1 {
+		t.Errorf("%d jobs and %d sessions admitted, want only the whitespace-tailed spec of each", jobs, s.sessions.Len())
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"paco/internal/obs"
@@ -36,7 +35,7 @@ import (
 // directly. Ingest borrows chunk for the length of the call and keeps
 // no reference to it: the handler recycles the buffer afterwards.
 type sessionBackend interface {
-	Open(spec session.Spec, trace string) (sessionOpened, error)
+	Open(spec session.Spec, trace string) (session.Opened, error)
 	Ingest(id string, format session.Format, chunk []byte) (accepted, queued int, err error)
 	Scores(id string) (session.Scores, error)
 	Subscribe(id string) (<-chan session.Scores, func(), error)
@@ -46,32 +45,9 @@ type sessionBackend interface {
 // localSessions serves sessions from this process's table.
 type localSessions struct{ *session.Table }
 
-func (l localSessions) Open(spec session.Spec, trace string) (sessionOpened, error) {
+func (l localSessions) Open(spec session.Spec, trace string) (session.Opened, error) {
 	id, key, norm, err := l.Table.Open(spec, trace)
-	return sessionOpened{ID: id, Key: key, Spec: norm}, err
-}
-
-// maxSessionChunk bounds one ingest chunk's wire size (4 MiB ≈ 190k
-// binary records). The per-session queue bound is separate and governs
-// backpressure; this is just the HTTP-layer sanity cap that also bounds
-// how far past the queue's high-water mark a single chunk can land.
-const maxSessionChunk = 4 << 20
-
-// sessionOpened is the POST /v1/sessions response. Worker names the
-// owning federation worker when the session was routed (empty — and
-// omitted — for sessions served by the local table).
-type sessionOpened struct {
-	ID     string       `json:"id"`
-	Key    string       `json:"key"`
-	Spec   session.Spec `json:"spec"`
-	Worker string       `json:"worker,omitempty"`
-}
-
-// sessionIngested is the POST /v1/sessions/{id}/events response:
-// how many events this chunk completed and the queue depth after.
-type sessionIngested struct {
-	Accepted int `json:"accepted"`
-	Queued   int `json:"queued"`
+	return session.Opened{ID: id, Key: key, Spec: norm}, err
 }
 
 // sessionError answers a failed session request with the error's
@@ -117,9 +93,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec session.Spec
 	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := decodeSpec(body, &spec); err != nil {
 			errorJSON(w, http.StatusBadRequest, "parsing session spec: %v", err)
 			return
 		}
@@ -137,17 +111,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, opened)
 }
 
-// sessionFormat picks the ingest encoding from the request Content-Type:
-// binary trace frames announce themselves as application/octet-stream,
-// everything else streams as NDJSON. The session locks onto whichever
-// format its first chunk used.
-func sessionFormat(r *http.Request) session.Format {
-	if strings.Contains(r.Header.Get("Content-Type"), "octet-stream") {
-		return session.FormatBinary
-	}
-	return session.FormatNDJSON
-}
-
 // chunkPool recycles ingest request bodies. A backend only borrows a
 // chunk for the length of its Ingest call: the table decodes it onto
 // the session's queue, and the router forwards and journals a copy.
@@ -160,12 +123,12 @@ var chunkPool = sync.Pool{New: func() any { return new([]byte) }}
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	buf := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(buf)
-	body, ok := readBodyInto(*buf, w, r, maxSessionChunk, "reading events")
+	body, ok := readBodyInto(*buf, w, r, session.MaxChunk, "reading events")
 	*buf = body
 	if !ok {
 		return
 	}
-	accepted, queued, err := s.backend.Ingest(r.PathValue("id"), sessionFormat(r), body)
+	accepted, queued, err := s.backend.Ingest(r.PathValue("id"), session.FormatOf(r.Header.Get("Content-Type")), body)
 	if err != nil {
 		sessionError(w, err)
 		return
@@ -174,7 +137,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeIngested answers 202 with the ack writeJSON would write for
-// sessionIngested{accepted, queued}, byte for byte, but without
+// session.Ingested{accepted, queued}, byte for byte, but without
 // reflection: the ack is the one reply every chunk gets.
 func writeIngested(w http.ResponseWriter, accepted, queued int) {
 	b := make([]byte, 0, 64)

@@ -113,7 +113,7 @@ func ndjsonBytes(t *testing.T, evs []trace.Event) []byte {
 	return buf.Bytes()
 }
 
-func openSession(t *testing.T, ts *httptest.Server, spec string) sessionOpened {
+func openSession(t *testing.T, ts *httptest.Server, spec string) session.Opened {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(spec))
 	if err != nil {
@@ -124,7 +124,7 @@ func openSession(t *testing.T, ts *httptest.Server, spec string) sessionOpened {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("open session → %d: %s", resp.StatusCode, raw)
 	}
-	var opened sessionOpened
+	var opened session.Opened
 	if err := json.Unmarshal(raw, &opened); err != nil {
 		t.Fatalf("decoding %s: %v", raw, err)
 	}
@@ -133,7 +133,7 @@ func openSession(t *testing.T, ts *httptest.Server, spec string) sessionOpened {
 
 // postChunk sends one ingest chunk, returning status, Retry-After header,
 // and the decoded acknowledgment (zero on errors).
-func postChunk(t *testing.T, ts *httptest.Server, id, contentType string, chunk []byte) (int, string, sessionIngested) {
+func postChunk(t *testing.T, ts *httptest.Server, id, contentType string, chunk []byte) (int, string, session.Ingested) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/events", contentType, bytes.NewReader(chunk))
 	if err != nil {
@@ -141,7 +141,7 @@ func postChunk(t *testing.T, ts *httptest.Server, id, contentType string, chunk 
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	var ack sessionIngested
+	var ack session.Ingested
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(raw, &ack); err != nil {
 			t.Fatalf("decoding ack %s: %v", raw, err)
@@ -288,7 +288,7 @@ func TestSessionSpecKeyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a sessionOpened
+	var a session.Opened
 	if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +720,7 @@ func TestSessionConcurrentHTTP(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				var opened sessionOpened
+				var opened session.Opened
 				err = json.NewDecoder(resp.Body).Decode(&opened)
 				resp.Body.Close()
 				if err != nil {
@@ -778,12 +778,12 @@ func TestSessionConcurrentHTTP(t *testing.T) {
 }
 
 // TestWriteIngestedMatchesWriteJSON: the hand-written 202 ack is
-// byte-identical to writeJSON's encoding of sessionIngested, status and
+// byte-identical to writeJSON's encoding of session.Ingested, status and
 // Content-Type included.
 func TestWriteIngestedMatchesWriteJSON(t *testing.T) {
 	for _, c := range [][2]int{{0, 0}, {1, 65536}, {23, 7}, {174762, 1 << 40}, {-1, math.MaxInt}} {
 		want, got := httptest.NewRecorder(), httptest.NewRecorder()
-		writeJSON(want, http.StatusAccepted, sessionIngested{Accepted: c[0], Queued: c[1]})
+		writeJSON(want, http.StatusAccepted, session.Ingested{Accepted: c[0], Queued: c[1]})
 		writeIngested(got, c[0], c[1])
 		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.String() != want.Body.String() {
 			t.Fatalf("ack %v: got %d %v %q, want %d %v %q", c,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,18 +252,18 @@ func (rt *sessionRouter) dropLocked(e *routedSession, reason string) {
 // Open normalizes the spec exactly as the table does, mints a
 // coordinator ID, and places the session on the worker the rendezvous
 // hash ranks first.
-func (rt *sessionRouter) Open(spec session.Spec, trace string) (sessionOpened, error) {
+func (rt *sessionRouter) Open(spec session.Spec, trace string) (session.Opened, error) {
 	norm, err := spec.Normalized()
 	if err != nil {
-		return sessionOpened{}, err
+		return session.Opened{}, err
 	}
 	key, err := norm.Key()
 	if err != nil {
-		return sessionOpened{}, err
+		return session.Opened{}, err
 	}
 	specJSON, err := json.Marshal(norm)
 	if err != nil {
-		return sessionOpened{}, err
+		return session.Opened{}, err
 	}
 	id := fmt.Sprintf("s-%s-%06d", key[:12], rt.seq.Add(1))
 
@@ -273,7 +271,7 @@ func (rt *sessionRouter) Open(spec session.Spec, trace string) (sessionOpened, e
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := rt.placeLocked(e); err != nil {
-		return sessionOpened{}, err
+		return session.Opened{}, err
 	}
 	rt.mu.Lock()
 	rt.sessions[id] = e
@@ -281,7 +279,7 @@ func (rt *sessionRouter) Open(spec session.Spec, trace string) (sessionOpened, e
 	rt.clock.Touch(id, time.Now())
 	rt.obs.routedOpened.Inc()
 	rt.obs.log.Info("session routed", "session", id, "worker", e.worker, "key", short(key), "trace", trace)
-	return sessionOpened{ID: id, Key: key, Spec: norm, Worker: e.worker}, nil
+	return session.Opened{ID: id, Key: key, Spec: norm, Worker: e.worker}, nil
 }
 
 // placeLocked homes e on the best live candidate: it opens e's spec
@@ -399,15 +397,6 @@ func decodeReply(worker string, body []byte, v any) error {
 	return nil
 }
 
-// contentType is the ingest Content-Type that sessionFormat maps back
-// to f.
-func contentType(f session.Format) string {
-	if f == session.FormatBinary {
-		return "application/octet-stream"
-	}
-	return "application/x-ndjson"
-}
-
 // openOn opens e's spec on one worker, under e's trace, and returns the
 // ID that worker's table issued.
 func (rt *sessionRouter) openOn(ep sessionEndpoint, e *routedSession) (string, error) {
@@ -418,7 +407,7 @@ func (rt *sessionRouter) openOn(ep sessionEndpoint, e *routedSession) (string, e
 	if rep.status != http.StatusCreated {
 		return "", fmt.Errorf("worker %s: open: HTTP %d: %s", ep.name, rep.status, bytes.TrimSpace(rep.body))
 	}
-	var opened sessionOpened
+	var opened session.Opened
 	if err := decodeReply(ep.name, rep.body, &opened); err != nil {
 		return "", err
 	}
@@ -426,13 +415,13 @@ func (rt *sessionRouter) openOn(ep sessionEndpoint, e *routedSession) (string, e
 }
 
 // replayJournal streams a journal's chunks into a freshly opened
-// session, honoring the worker's backpressure (bounded 429 retries per
-// chunk, one second apart).
+// session, honoring the worker's backpressure: up to 100 retries per
+// chunk, each after the worker's Retry-After.
 func (rt *sessionRouter) replayJournal(ep sessionEndpoint, remoteID string, j *session.Journal) error {
 	for _, chunk := range j.Chunks() {
 		for attempt := 0; ; attempt++ {
 			rep, err := rt.exchange(http.MethodPost, ep.url+"/v1/sessions/"+remoteID+"/events",
-				contentType(j.Format()), "", chunk)
+				j.Format().ContentType(), "", chunk)
 			if err != nil {
 				return err
 			}
@@ -440,7 +429,7 @@ func (rt *sessionRouter) replayJournal(ep sessionEndpoint, remoteID string, j *s
 				break
 			}
 			if rep.status == http.StatusTooManyRequests && attempt < 100 {
-				time.Sleep(time.Second)
+				time.Sleep(session.RetryAfter(rep.header))
 				continue
 			}
 			return fmt.Errorf("worker %s: replay chunk rejected: HTTP %d", ep.name, rep.status)
@@ -488,8 +477,7 @@ func (rt *sessionRouter) ownerErrorLocked(e *routedSession, rep reply) error {
 		rt.dropLocked(e, session.CloseEvicted)
 		return rt.missError(e.id)
 	case http.StatusTooManyRequests:
-		secs, _ := strconv.Atoi(rep.header.Get("Retry-After"))
-		cause = &session.BackpressureError{RetryAfter: time.Duration(secs) * time.Second}
+		cause = &session.BackpressureError{RetryAfter: session.RetryAfter(rep.header)}
 	case http.StatusConflict:
 		cause = &session.FormatError{} // the owner's message names the formats
 	case http.StatusBadRequest:
@@ -505,82 +493,72 @@ func (rt *sessionRouter) ownerErrorLocked(e *routedSession, rep reply) error {
 	return &ownerError{msg: msg.Error, cause: cause}
 }
 
+// request forwards one request for session id to its owner. A reply
+// of status want runs then under the session's lock and is decoded into
+// v; any other status is the owner's error.
+func (rt *sessionRouter) request(id, method, suffix, contentType string, body []byte, want int, v any, then func(e *routedSession) error) error {
+	e, err := rt.lock(id)
+	if err != nil {
+		return err
+	}
+	defer e.mu.Unlock()
+	rep, err := rt.forwardLocked(e, method, suffix, contentType, body)
+	if err != nil {
+		return err
+	}
+	if rep.status != want {
+		return rt.ownerErrorLocked(e, rep)
+	}
+	if err := then(e); err != nil {
+		return err
+	}
+	return decodeReply(e.worker, rep.body, v)
+}
+
 // Ingest forwards a chunk to the owner and journals it iff the owner
 // acknowledged it (202). A rejected chunk was not consumed and is not
 // journaled: the client's retry of the identical bytes lands here
 // again.
 func (rt *sessionRouter) Ingest(id string, format session.Format, chunk []byte) (accepted, queued int, err error) {
-	e, err := rt.lock(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer e.mu.Unlock()
 	// chunk is the handler's pooled buffer, reused once Ingest returns,
 	// but net/http may still read a request body after the reply has
 	// arrived. So forward a copy, which the journal keeps if the owner
 	// accepts it.
 	chunk = bytes.Clone(chunk)
-	rep, err := rt.forwardLocked(e, http.MethodPost, "/events", contentType(format), chunk)
-	if err != nil {
-		return 0, 0, err
-	}
-	if rep.status != http.StatusAccepted {
-		return 0, 0, rt.ownerErrorLocked(e, rep)
-	}
-	if err := e.journal.Adopt(format, chunk); err != nil {
-		// Unreachable in practice: the owner accepted the chunk, so
-		// the formats agreed there. Surface rather than diverge.
-		return 0, 0, err
-	}
-	rt.journalBytes.Add(int64(len(chunk)))
-	rt.clock.Touch(id, time.Now())
-	rt.obs.routedChunks.Inc()
-	var ack sessionIngested
-	err = decodeReply(e.worker, rep.body, &ack)
+	var ack session.Ingested
+	err = rt.request(id, http.MethodPost, "/events", format.ContentType(), chunk, http.StatusAccepted, &ack, func(e *routedSession) error {
+		if err := e.journal.Adopt(format, chunk); err != nil {
+			// Unreachable in practice: the owner accepted the chunk, so
+			// the formats agreed there. Surface rather than diverge.
+			return err
+		}
+		rt.journalBytes.Add(int64(len(chunk)))
+		rt.clock.Touch(id, time.Now())
+		rt.obs.routedChunks.Inc()
+		return nil
+	})
 	return ack.Accepted, ack.Queued, err
 }
 
 // Scores reads the owner's snapshot (an activity signal, as on the
 // table).
-func (rt *sessionRouter) Scores(id string) (session.Scores, error) {
-	e, err := rt.lock(id)
-	if err != nil {
-		return session.Scores{}, err
-	}
-	defer e.mu.Unlock()
-	rep, err := rt.forwardLocked(e, http.MethodGet, "/scores", "", nil)
-	if err != nil {
-		return session.Scores{}, err
-	}
-	if rep.status != http.StatusOK {
-		return session.Scores{}, rt.ownerErrorLocked(e, rep)
-	}
-	rt.clock.Touch(id, time.Now())
-	var sc session.Scores
-	err = decodeReply(e.worker, rep.body, &sc)
+func (rt *sessionRouter) Scores(id string) (sc session.Scores, err error) {
+	err = rt.request(id, http.MethodGet, "/scores", "", nil, http.StatusOK, &sc, func(*routedSession) error {
+		rt.clock.Touch(id, time.Now())
+		return nil
+	})
 	return sc, err
 }
 
 // Close closes the owner's session and returns its final scores.
 // Because failover replays the acknowledged stream, they match an
 // uninterrupted run's even if the session changed workers mid-stream.
-func (rt *sessionRouter) Close(id, reason string) (session.Scores, error) {
-	e, err := rt.lock(id)
-	if err != nil {
-		return session.Scores{}, err
-	}
-	defer e.mu.Unlock()
-	rep, err := rt.forwardLocked(e, http.MethodDelete, "", "", nil)
-	if err != nil {
-		return session.Scores{}, err
-	}
-	if rep.status != http.StatusOK {
-		return session.Scores{}, rt.ownerErrorLocked(e, rep)
-	}
-	rt.dropLocked(e, reason)
-	rt.obs.log.Info("session closed", "session", id, "worker", e.worker, "reason", reason)
-	var final session.Scores
-	err = decodeReply(e.worker, rep.body, &final)
+func (rt *sessionRouter) Close(id, reason string) (final session.Scores, err error) {
+	err = rt.request(id, http.MethodDelete, "", "", nil, http.StatusOK, &final, func(e *routedSession) error {
+		rt.dropLocked(e, reason)
+		rt.obs.log.Info("session closed", "session", id, "worker", e.worker, "reason", reason)
+		return nil
+	})
 	return final, err
 }
 
@@ -682,13 +660,7 @@ func (rt *sessionRouter) subscribeOwner(ctx context.Context, e *routedSession, b
 // snapshot. The relay is ch's only sender, so after dropping an
 // undelivered snapshot the send cannot block.
 func relayLive(stream io.Reader, ch chan session.Scores) bool {
-	sc := bufio.NewScanner(stream)
-	sc.Buffer(make([]byte, 0, 64<<10), maxSessionChunk)
-	for sc.Scan() {
-		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
-		if !ok {
-			continue
-		}
+	for _, data := range session.Frames(stream) {
 		var snap session.Scores
 		if json.Unmarshal(data, &snap) != nil {
 			return false

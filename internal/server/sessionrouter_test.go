@@ -70,7 +70,7 @@ func TestRouterIngestLeavesChunkAlone(t *testing.T) {
 		sessions: map[string]*routedSession{},
 	}
 
-	chunk := make([]byte, maxSessionChunk)
+	chunk := make([]byte, session.MaxChunk)
 	for i := 0; i < 20; i++ {
 		e := &routedSession{id: "s", base: worker.URL, remoteID: "early", journal: session.NewJournal()}
 		if i%4 == 0 {
