@@ -55,7 +55,7 @@ func TestTickZeroAllocsSMT(t *testing.T) {
 }
 
 // TestAddThreadEstimatorLimit pins the MaxEstimators validation: one more
-// estimator than robEntry.contribs can hold must be rejected with a
+// estimator than robPayload.contribs can hold must be rejected with a
 // descriptive error, not mis-indexed.
 func TestAddThreadEstimatorLimit(t *testing.T) {
 	spec, err := workload.NewBenchmark("gzip")

@@ -23,18 +23,30 @@ type ref struct {
 	seq uint64
 }
 
-// robEntry is one in-flight instruction.
-//
-// Slots are recycled by a field-wise reset in dispatch() (not a struct
-// literal, to skip re-zeroing contribs): a field added here must also be
-// reset there, or it leaks state from the slot's previous occupant.
+// robEntry is the hot part of one in-flight instruction: the 32 bytes the
+// arrive, issue, wakeup, squash and retire loops test on every visit, so
+// they walk 8 KB per 256-entry thread, not a combined record's 47 KB.
+// dispatch resets it whole; the robPayload at the same index holds the
+// rest.
 type robEntry struct {
-	valid bool
-	seq   uint64
-	ins   workload.Instruction
+	seq         uint64
+	issuedAt    uint64 // cycle of (first) issue; see the re-issue note in issue()
+	pendingDeps int32
+	waiterHead  int32 // head of the intrusive waiter list (0 = empty)
+	valid       bool
+	badpath     bool
+	isControl   bool
+	inSched     bool
+	eligible    bool
+	issued      bool
+	done        bool
+}
 
-	badpath       bool
-	isControl     bool
+// robPayload is the cold part of one in-flight instruction. Fetch writes
+// ins straight into the slot at the ROB tail; predictControl sets the
+// rest for control instructions, the only ones that read it.
+type robPayload struct {
+	ins           workload.Instruction
 	conditional   bool
 	predTaken     bool
 	mispredicted  bool // fetch-time knowledge: prediction differs from actual
@@ -43,14 +55,6 @@ type robEntry struct {
 	mdc           uint32
 
 	contribs [MaxEstimators]core.Contribution
-
-	inSched     bool
-	eligible    bool
-	issued      bool
-	done        bool
-	issuedAt    uint64 // cycle of (first) issue; see the re-issue note in issue()
-	pendingDeps int
-	waiterHead  int32 // head of the intrusive waiter list (0 = empty)
 }
 
 // thread is one hardware context.
@@ -63,18 +67,17 @@ type thread struct {
 	ras    *branch.RAS
 	ests   []core.Estimator
 
-	rob  []robEntry // power-of-two length; see entry()
-	head uint64     // oldest in-flight seq
-	tail uint64     // next seq to allocate
+	rob     []robEntry   // power-of-two length; see entry()
+	payload []robPayload // parallel to rob; see slot()
+	head    uint64       // oldest in-flight seq
+	tail    uint64       // next seq to allocate
 
 	waiterNodes []waiterNode // dependency-list arena; index 0 is a sentinel
 	waiterFree  int32        // free-list head (0 = empty)
 
 	onGoodpath     bool
 	fetchResume    uint64
-	pending        workload.Instruction // valid when hasPending
-	hasPending     bool
-	pendingBadpath bool
+	hasPending     bool // the ROB tail's payload holds an I-cache-stalled instruction
 	lastFetchBlock uint64
 
 	stats ThreadStats
@@ -85,6 +88,11 @@ type thread struct {
 // mask form both avoids a division and lets the compiler elide the bounds
 // check.
 func (t *thread) entry(seq uint64) *robEntry { return &t.rob[seq&uint64(len(t.rob)-1)] }
+
+// slot maps a seq to its payload, as entry does.
+func (t *thread) slot(seq uint64) *robPayload {
+	return &t.payload[seq&uint64(len(t.payload)-1)]
+}
 
 func (t *thread) inFlight() int { return int(t.tail - t.head) }
 
@@ -152,11 +160,11 @@ func (c *Core) AddThread(spec *workload.Spec, ests []core.Estimator) (int, error
 }
 
 // checkEstimators rejects a thread with more than MaxEstimators
-// estimators: each robEntry holds a fixed [MaxEstimators]Contribution
+// estimators: each robPayload holds a fixed [MaxEstimators]Contribution
 // array, so admitting more would silently mis-index it.
 func (c *Core) checkEstimators(ests []core.Estimator) error {
 	if len(ests) > MaxEstimators {
-		return fmt.Errorf("cpu: %d estimators attached to thread %d, at most %d supported (robEntry.contribs is fixed-size)",
+		return fmt.Errorf("cpu: %d estimators attached to thread %d, at most %d supported (robPayload.contribs is fixed-size)",
 			len(ests), len(c.threads), MaxEstimators)
 	}
 	return nil
@@ -186,6 +194,7 @@ func (c *Core) attachThread(w *workload.Walker, cur *workload.Cursor, ests []cor
 		ras:            branch.NewRAS(c.cfg.RASDepth),
 		ests:           ests,
 		rob:            make([]robEntry, robLen),
+		payload:        make([]robPayload, robLen),
 		waiterNodes:    make([]waiterNode, 1, 2*c.cfg.ROBSize+1),
 		onGoodpath:     true,
 		lastFetchBlock: ^uint64(0),

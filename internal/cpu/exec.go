@@ -5,13 +5,13 @@ import (
 	"paco/internal/workload"
 )
 
-// eventFor builds the estimator-facing view of a control instruction.
-func (c *Core) eventFor(e *robEntry) core.BranchEvent {
+// event builds the estimator-facing view of a control instruction.
+func (p *robPayload) event() core.BranchEvent {
 	return core.BranchEvent{
-		PC:          e.ins.PC,
-		History:     e.histAtPred,
-		MDC:         e.mdc,
-		Conditional: e.conditional,
+		PC:          p.ins.PC,
+		History:     p.histAtPred,
+		MDC:         p.mdc,
+		Conditional: p.conditional,
 	}
 }
 
@@ -74,17 +74,15 @@ func (c *Core) issue() {
 		e.inSched = false
 		c.schedCount--
 
-		lat := e.ins.Lat
-		if lat == 0 {
-			lat = 1
-		}
-		switch e.ins.Kind {
+		ins := &t.slot(r.seq).ins
+		lat := uint64(max(ins.Lat, 1))
+		switch ins.Kind {
 		case workload.KindLoad:
-			lat += c.mem.DataLatency(e.ins.Addr, e.badpath)
+			lat += c.mem.DataLatency(ins.Addr, e.badpath)
 		case workload.KindStore:
 			// Stores write at retire; the issue-time access models the
 			// line fill (write-allocate), including badpath pollution.
-			c.mem.DataLatency(e.ins.Addr, e.badpath)
+			c.mem.DataLatency(ins.Addr, e.badpath)
 		}
 		if e.badpath {
 			t.stats.ExecutedBad++
@@ -152,16 +150,17 @@ func (c *Core) complete() {
 // instructions and redirects fetch (back to the goodpath if this was the
 // divergence point).
 func (c *Core) resolveControl(t *thread, e *robEntry) {
+	p := t.slot(e.seq)
 	for i := range t.ests {
-		t.ests[i].BranchResolved(e.contribs[i])
+		t.ests[i].BranchResolved(p.contribs[i])
 	}
 	// Badpath taken control flow trains the BTB at resolve: wrong-path
 	// pollution (the perlbmk effect the paper's conservative gating
 	// removes).
-	if e.badpath && (e.ins.Kind != workload.KindBranch || e.ins.Taken) {
-		c.btb.Insert(e.ins.PC, e.ins.NextPC)
+	if e.badpath && (p.ins.Kind != workload.KindBranch || p.ins.Taken) {
+		c.btb.Insert(p.ins.PC, p.ins.NextPC)
 	}
-	if !e.mispredicted {
+	if !p.mispredicted {
 		return
 	}
 	t.stats.Recoveries++
@@ -169,9 +168,9 @@ func (c *Core) resolveControl(t *thread, e *robEntry) {
 
 	// Repair the speculative history: everything after this branch was
 	// fetched down the wrong path.
-	t.ghr.Restore(e.ghrCheckpoint)
-	if e.conditional {
-		t.ghr.Push(e.ins.Taken)
+	t.ghr.Restore(p.ghrCheckpoint)
+	if p.conditional {
+		t.ghr.Push(p.ins.Taken)
 	}
 
 	// Redirect fetch after the misprediction penalty.
@@ -189,7 +188,7 @@ func (c *Core) resolveControl(t *thread, e *robEntry) {
 	} else {
 		// A badpath branch "resolved": fetch continues down the badpath
 		// at that branch's actual target.
-		t.wrong.Redirect(e.ins.NextPC)
+		t.wrong.Redirect(p.ins.NextPC)
 	}
 }
 
@@ -205,8 +204,9 @@ func (c *Core) squashYounger(t *thread, seq uint64) {
 		// contribution removed at resolve; squashing them again would
 		// double-subtract from the path confidence sums.
 		if e.isControl && !e.done {
+			p := t.slot(s - 1)
 			for i := range t.ests {
-				t.ests[i].BranchSquashed(e.contribs[i])
+				t.ests[i].BranchSquashed(p.contribs[i])
 			}
 		}
 		if e.inSched && !e.issued {

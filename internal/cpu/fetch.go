@@ -35,84 +35,62 @@ func (c *Core) fetch() {
 		if c.robCount >= c.cfg.ROBSize || c.schedCount >= c.cfg.SchedSize {
 			break
 		}
-		ins, ok := c.nextInstruction(t)
-		if !ok {
+		if !c.nextInstruction(t) {
 			break // I-cache miss: group ends, resume later
 		}
-		redirected := c.dispatch(t, ins)
-		if redirected {
+		if c.dispatch(t) {
 			break // taken control flow ends the fetch group
 		}
 	}
 }
 
-// nextInstruction produces the next instruction of the thread's current
-// path, honouring a pending I-cache-stalled instruction, and models the
-// I-cache: crossing into a new block pays the fetch latency.
-func (c *Core) nextInstruction(t *thread) (workload.Instruction, bool) {
-	var ins workload.Instruction
+// nextInstruction writes the next instruction of the thread's current path
+// into the payload slot at the ROB tail (free: its last occupant retired
+// or was squashed), where dispatch claims it, and models the I-cache:
+// crossing into a new block pays the fetch latency, and the instruction
+// waits in its slot (hasPending) until fetch resumes.
+func (c *Core) nextInstruction(t *thread) bool {
 	if t.hasPending {
-		ins = t.pending
 		t.hasPending = false
-		return ins, true
+		return true
 	}
+	ins := &t.slot(t.tail).ins
 	badpath := !t.onGoodpath
 	switch {
 	case badpath:
-		ins = t.wrong.Next()
+		t.wrong.NextInto(ins)
 	case t.cursor != nil:
-		ins = t.cursor.Next() // batched: replay the shared tape
+		t.cursor.NextInto(ins) // batched: replay the shared tape
 	default:
-		ins = t.walker.Next()
+		t.walker.NextInto(ins)
 	}
 	const blockShift = 7 // 128-byte I-cache lines (Table 6)
 	blk := ins.PC >> blockShift
 	if blk != t.lastFetchBlock {
 		t.lastFetchBlock = blk
 		if lat := c.mem.FetchLatency(ins.PC, badpath); lat > 0 {
-			t.pending = ins
 			t.hasPending = true
-			t.pendingBadpath = badpath
 			t.fetchResume = c.cycle + lat
-			return workload.Instruction{}, false
+			return false
 		}
 	}
-	return ins, true
+	return true
 }
 
-// dispatch renames the instruction into the ROB and scheduler, performs
-// branch prediction and confidence lookups, and switches the thread onto
-// the wrong path when a goodpath branch mispredicts. It reports whether
-// fetch was redirected (ending the fetch group).
-func (c *Core) dispatch(t *thread, ins workload.Instruction) bool {
+// dispatch renames the instruction in the ROB tail's slot into the ROB and
+// scheduler, performs branch prediction and confidence lookups, and
+// switches the thread onto the wrong path when a goodpath branch
+// mispredicts. It reports whether fetch was redirected (ending the group).
+func (c *Core) dispatch(t *thread) bool {
 	seq := t.tail
 	t.tail++
 	c.robCount++
 	e := t.entry(seq)
+	p := t.slot(seq)
 	// A squashed producer's waiter list survives until its slot is reused
 	// here; recycle the nodes before the entry is overwritten.
 	t.freeWaiters(e.waiterHead)
-	// Field-wise reset instead of a struct literal: contribs needs no
-	// zeroing (it is written at predictControl before any read), and
-	// skipping its 72-byte copy is measurable on this path.
-	e.valid = true
-	e.seq = seq
-	e.ins = ins
-	e.badpath = !t.onGoodpath
-	e.isControl = false
-	e.conditional = false
-	e.predTaken = false
-	e.mispredicted = false
-	e.histAtPred = 0
-	e.ghrCheckpoint = 0
-	e.mdc = 0
-	e.inSched = false
-	e.eligible = false
-	e.issued = false
-	e.done = false
-	e.issuedAt = 0
-	e.pendingDeps = 0
-	e.waiterHead = 0
+	*e = robEntry{seq: seq, valid: true, badpath: !t.onGoodpath}
 	if e.badpath {
 		t.stats.FetchedBad++
 	} else {
@@ -120,15 +98,15 @@ func (c *Core) dispatch(t *thread, ins workload.Instruction) bool {
 	}
 
 	redirected := false
-	if ins.Kind.IsControl() {
-		redirected = c.predictControl(t, e)
+	if p.ins.Kind.IsControl() {
+		redirected = c.predictControl(t, e, p)
 	}
 
 	// Rename: resolve dependence distances to producer seqs. The
 	// instruction traverses the front end for FrontEndDepth cycles before
 	// it becomes eligible to issue.
-	c.trackDep(t, e, ins.Dep1)
-	c.trackDep(t, e, ins.Dep2)
+	c.trackDep(t, e, p.ins.Dep1)
+	c.trackDep(t, e, p.ins.Dep2)
 	e.inSched = true
 	c.schedCount++
 	slot := (c.cycle + c.cfg.FrontEndDepth) % wheelSize
@@ -140,7 +118,7 @@ func (c *Core) dispatch(t *thread, ins workload.Instruction) bool {
 	return redirected
 }
 
-func (c *Core) trackDep(t *thread, e *robEntry, dist int) {
+func (c *Core) trackDep(t *thread, e *robEntry, dist int32) {
 	if dist <= 0 {
 		return
 	}
@@ -163,11 +141,12 @@ func (c *Core) trackDep(t *thread, e *robEntry, dist int) {
 // instruction, reads the JRS confidence table, notifies the estimators, and
 // handles fetch redirection including the goodpath->badpath transition.
 // It reports whether fetch was redirected this cycle.
-func (c *Core) predictControl(t *thread, e *robEntry) bool {
-	ins := &e.ins
+func (c *Core) predictControl(t *thread, e *robEntry, p *robPayload) bool {
+	ins := &p.ins
 	e.isControl = true
-	e.histAtPred = t.ghr.Value()
-	e.ghrCheckpoint = t.ghr.Checkpoint()
+	p.conditional, p.predTaken, p.mispredicted, p.mdc = false, false, false, 0
+	p.histAtPred = t.ghr.Value()
+	p.ghrCheckpoint = t.ghr.Checkpoint()
 
 	var predTarget uint64
 	var predTaken bool
@@ -176,13 +155,13 @@ func (c *Core) predictControl(t *thread, e *robEntry) bool {
 		// Direct conditional branch: the decoder computes the taken
 		// target within the fetch group, so only the *direction* can
 		// mispredict.
-		e.conditional = true
-		predTaken = c.pred.Predict(ins.PC, e.histAtPred)
-		e.predTaken = predTaken
+		p.conditional = true
+		predTaken = c.pred.Predict(ins.PC, p.histAtPred)
+		p.predTaken = predTaken
 		if c.perceptron != nil {
-			e.mdc = c.perceptron.Confidence(ins.PC, e.histAtPred)
+			p.mdc = c.perceptron.Confidence(ins.PC, p.histAtPred)
 		} else {
-			e.mdc = c.jrs.MDC(ins.PC, e.histAtPred, predTaken)
+			p.mdc = c.jrs.MDC(ins.PC, p.histAtPred, predTaken)
 		}
 		t.ghr.Push(predTaken)
 		if e.badpath {
@@ -190,7 +169,7 @@ func (c *Core) predictControl(t *thread, e *robEntry) bool {
 			// prediction so wrong-path code behaves like code.
 			t.wrong.ResolveBranch(ins, predTaken)
 		}
-		e.mispredicted = predTaken != ins.Taken
+		p.mispredicted = predTaken != ins.Taken
 	case workload.KindJump, workload.KindCall:
 		// Direct targets are computed at decode: never mispredicted.
 		predTaken = true
@@ -201,7 +180,7 @@ func (c *Core) predictControl(t *thread, e *robEntry) bool {
 	case workload.KindReturn:
 		predTaken = true
 		predTarget = t.ras.Pop()
-		e.mispredicted = predTarget != ins.NextPC
+		p.mispredicted = predTarget != ins.NextPC
 	case workload.KindIndirect:
 		predTaken = true
 		if tgt, ok := c.btb.Lookup(ins.PC); ok {
@@ -209,21 +188,21 @@ func (c *Core) predictControl(t *thread, e *robEntry) bool {
 		} else {
 			predTarget = ins.PC + 4 // no prediction: certainly wrong
 		}
-		e.mispredicted = predTarget != ins.NextPC
+		p.mispredicted = predTarget != ins.NextPC
 	}
 
 	// Path confidence estimators see every control instruction; only
 	// conditional branches carry an MDC (JRS covers only those).
-	ev := c.eventFor(e)
+	ev := p.event()
 	for i, est := range t.ests {
-		e.contribs[i] = est.BranchFetched(ev)
+		p.contribs[i] = est.BranchFetched(ev)
 	}
 
 	// Fetch redirection. On a misprediction the front end follows the
 	// (wrong) predicted path: if this was a goodpath branch, the machine
 	// diverges here and discovers it at execute; on the badpath, fetch
 	// simply continues down another wrong path.
-	if e.mispredicted {
+	if p.mispredicted {
 		t.onGoodpath = false
 		wrongPC := predTarget
 		if ins.Kind == workload.KindBranch {

@@ -41,46 +41,47 @@ func (c *Core) commit(t *thread, e *robEntry) {
 	st := &t.stats
 	st.RetiredGood++
 	if e.isControl {
+		p := t.slot(e.seq)
 		st.CtrlRetired++
-		correct := !e.mispredicted
+		correct := !p.mispredicted
 		if !correct {
 			st.CtrlMispredicts++
 		}
-		if e.conditional {
+		if p.conditional {
 			if c.probeRetire != nil {
-				c.probeRetire(e.ins.StaticID, correct)
+				c.probeRetire(int(p.ins.StaticID), correct)
 			}
 			st.CondRetired++
 			if !correct {
 				st.CondMispredicts++
 			}
-			if e.mdc < confidence.NumBuckets {
+			if p.mdc < confidence.NumBuckets {
 				if correct {
-					st.BucketCorrect[e.mdc]++
+					st.BucketCorrect[p.mdc]++
 				} else {
-					st.BucketMispred[e.mdc]++
+					st.BucketMispred[p.mdc]++
 				}
 			}
 			// Train the direction predictor, the JRS confidence table and
 			// the path confidence estimators on goodpath outcomes.
-			c.pred.Update(e.ins.PC, e.histAtPred, e.ins.Taken)
-			c.jrs.Update(e.ins.PC, e.histAtPred, e.predTaken, correct)
+			c.pred.Update(p.ins.PC, p.histAtPred, p.ins.Taken)
+			c.jrs.Update(p.ins.PC, p.histAtPred, p.predTaken, correct)
 			if c.perceptron != nil {
-				c.perceptron.Update(e.ins.PC, e.histAtPred, correct)
+				c.perceptron.Update(p.ins.PC, p.histAtPred, correct)
 			}
 		}
-		ev := c.eventFor(e)
+		ev := p.event()
 		for i := range t.ests {
 			t.ests[i].BranchRetired(ev, correct)
 		}
 		// Train the BTB with goodpath targets (indirect control flow and
 		// taken branches).
-		switch e.ins.Kind {
+		switch p.ins.Kind {
 		case workload.KindIndirect:
-			c.btb.Insert(e.ins.PC, e.ins.NextPC)
+			c.btb.Insert(p.ins.PC, p.ins.NextPC)
 		case workload.KindBranch:
-			if e.ins.Taken {
-				c.btb.Insert(e.ins.PC, e.ins.NextPC)
+			if p.ins.Taken {
+				c.btb.Insert(p.ins.PC, p.ins.NextPC)
 			}
 		}
 	}

@@ -8,7 +8,11 @@
 // an output permutation, no global state, value-sized and cheap to fork.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"sort"
+)
 
 // RNG is a PCG32 generator. The zero value is not valid; use New.
 type RNG struct {
@@ -19,6 +23,9 @@ type RNG struct {
 const (
 	pcgMultiplier = 6364136223846793005
 	pcgIncrement  = 1442695040888963407
+	// pcgMultiplier2 is pcgMultiplier² mod 2^64: two LCG steps fused,
+	// s·M² + inc·(M+1) = (s·M + inc)·M + inc, exact in uint64 arithmetic.
+	pcgMultiplier2 = pcgMultiplier * pcgMultiplier % (1 << 64)
 )
 
 // New returns a generator seeded from seed on the default stream.
@@ -52,25 +59,26 @@ func (r *RNG) Fork() *RNG {
 	return NewStream(r.Uint64(), r.Uint64())
 }
 
+// output is PCG32's output permutation of the state a step starts from.
+func output(s uint64) uint32 {
+	return bits.RotateLeft32(uint32(((s>>18)^s)>>27), -int(s>>59))
+}
+
 // Uint32 returns the next 32 uniformly distributed bits.
 func (r *RNG) Uint32() uint32 {
 	old := r.state
 	r.state = old*pcgMultiplier + r.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint(old >> 59)
-	return bits.RotateLeft32(xorshifted, -int(rot))
+	return output(old)
 }
 
-// Uint64 returns the next 64 uniformly distributed bits: two Uint32 draws
-// with the generator steps fused so the whole function stays inlinable
+// Uint64 returns the next 64 uniformly distributed bits: two Uint32 draws.
+// The state advances both steps in one fused multiply-add, so the update
+// does not wait on the first step, and the whole function stays inlinable
 // (the simulator kernel draws in hot per-instruction loops).
 func (r *RNG) Uint64() uint64 {
-	s1 := r.state
-	s2 := s1*pcgMultiplier + r.inc
-	r.state = s2*pcgMultiplier + r.inc
-	hi := bits.RotateLeft32(uint32(((s1>>18)^s1)>>27), -int(s1>>59))
-	lo := bits.RotateLeft32(uint32(((s2>>18)^s2)>>27), -int(s2>>59))
-	return uint64(hi)<<32 | uint64(lo)
+	s := r.state
+	r.state = s*pcgMultiplier2 + r.inc*(pcgMultiplier+1)
+	return uint64(output(s))<<32 | uint64(output(s*pcgMultiplier+r.inc))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -105,41 +113,82 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+// Bool returns true with probability p: exactly Float64() < p, with no
+// draw for p <= 0 or p >= 1.
+func (r *RNG) Bool(p float64) bool { return r.Below(NewThreshold(p)) }
+
+// Threshold is a probability p prepared for integer-domain draws. With
+// k = Uint64()>>11, Float64() is exactly k/2^53, so for p in (0, 1)
+// Float64() < p ⇔ k < ceil(p·2^53) ⇔ Uint64() < ceil(p·2^53)<<11. The
+// largest p below 1 is 1-2^-53, so the shift never overflows.
+type Threshold struct {
+	hi, lo uint32 // the bound, split to decide most draws on the high word
+	// edge is +1 for p >= 1 and -1 for p <= 0: decided without a draw.
+	// NaN keeps edge 0 and a zero bound, so it draws and never hits, as
+	// Float64() < NaN never held.
+	edge int8
 }
 
-// boolOpen is Bool for p already known to lie in (0, 1): the same single
-// Float64 draw without the range branches, small enough to inline into
-// per-instruction loops.
-func (r *RNG) boolOpen(p float64) bool {
-	return r.Float64() < p
+// NewThreshold prepares p for Below and Geometric.
+func NewThreshold(p float64) Threshold {
+	switch {
+	case p >= 1:
+		return Threshold{edge: 1}
+	case p <= 0:
+		return Threshold{edge: -1}
+	case p > 0:
+		t := uint64(math.Ceil(p*(1<<53))) << 11
+		return Threshold{hi: uint32(t >> 32), lo: uint32(t)}
+	}
+	return Threshold{} // NaN
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p, i.e. the number of failures before the first success.
-// For p <= 0 it returns a large bounded value instead of blocking.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
+// Below is one Bernoulli draw: exactly Bool(p) for the p t was prepared
+// from, consuming the same draw.
+func (r *RNG) Below(t Threshold) bool {
+	if t.edge != 0 {
+		return t.edge > 0
 	}
-	if p <= 0 {
+	s := r.state
+	r.state = s*pcgMultiplier2 + r.inc*(pcgMultiplier+1)
+	return t.hit(s, r.inc)
+}
+
+// hit reports whether the Uint64 drawn from state s is below t, computing
+// the low output word only when the high words tie.
+func (t Threshold) hit(s, inc uint64) bool {
+	if hi := output(s); hi != t.hi {
+		return hi < t.hi
+	}
+	return output(s*pcgMultiplier+inc) < t.lo
+}
+
+// Geometric returns the number of failed Below draws before the first
+// success: a geometric sample with success probability p. For p >= 1 it
+// is 0 and for p <= 0 it is 1<<20, the cap on any sample, both without a
+// draw. The state stays in a register across the trials.
+func (r *RNG) Geometric(t Threshold) int {
+	if t.edge != 0 {
+		if t.edge > 0 {
+			return 0
+		}
 		return 1 << 20
 	}
+	s, inc := r.state, r.inc
+	step := inc * (pcgMultiplier + 1)
 	n := 0
-	for !r.boolOpen(p) {
+	for {
+		draw := s
+		s = draw*pcgMultiplier2 + step
+		if t.hit(draw, inc) {
+			break
+		}
 		n++
 		if n >= 1<<20 {
 			break
 		}
 	}
+	r.state = s
 	return n
 }
 
@@ -177,19 +226,9 @@ func NewWeightedChoice(weights []float64) *WeightedChoice {
 
 // Sample draws one index using r.
 func (w *WeightedChoice) Sample(r *RNG) int {
-	total := w.cum[len(w.cum)-1]
-	x := r.Float64() * total
-	// Binary search for the first cumulative weight exceeding x.
-	lo, hi := 0, len(w.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cum[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	x := r.Float64() * w.cum[len(w.cum)-1]
+	// The first cumulative weight exceeding x; the last index if none does.
+	return sort.Search(len(w.cum)-1, func(i int) bool { return w.cum[i] > x })
 }
 
 // Len reports the number of choices.

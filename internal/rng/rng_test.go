@@ -128,14 +128,14 @@ func TestGeometricMean(t *testing.T) {
 	sum := 0.0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
+		sum += float64(r.Geometric(NewThreshold(p)))
 	}
 	mean := sum / n
 	want := (1 - p) / p // failures before first success
 	if math.Abs(mean-want) > 0.1 {
 		t.Fatalf("Geometric(%v) mean %.3f, want ~%.3f", p, mean, want)
 	}
-	if r.Geometric(1) != 0 {
+	if r.Geometric(NewThreshold(1)) != 0 {
 		t.Fatal("Geometric(1) must be 0")
 	}
 }
@@ -204,4 +204,94 @@ func TestUint32Uniformity(t *testing.T) {
 	if chi2 > 37.7 {
 		t.Fatalf("chi-squared %.1f suggests non-uniform output", chi2)
 	}
+}
+
+// refUint64 is Uint64 as first written: two sequential LCG steps.
+func refUint64(r *RNG) uint64 {
+	hi := r.Uint32()
+	return uint64(hi)<<32 | uint64(r.Uint32())
+}
+
+// refBool is Bool as first written: a Float64 draw compared against p.
+func refBool(r *RNG, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return float64(refUint64(r)>>11)/(1<<53) < p
+}
+
+// refGeometric is Geometric as first written: one Float64 draw per trial,
+// compared against p in floating point.
+func refGeometric(r *RNG, p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		return 1 << 20
+	}
+	n := 0
+	for !refBool(r, p) {
+		n++
+		if n >= 1<<20 {
+			break
+		}
+	}
+	return n
+}
+
+// FuzzGeometric checks the integer-domain draws against the float loop
+// they replace: for any seed, stream and p, Geometric returns the same n
+// and Bool the same outcome, and both leave the generator in the same
+// state.
+func FuzzGeometric(f *testing.F) {
+	for _, p := range []float64{0.22, 0.5, 0.3, 0.1, 1.0 / 6, 1e-9, 0x1p-1074, 1 - 0x1p-53, 0, 1, -1, 2} {
+		f.Add(uint64(1), uint64(0), p)
+	}
+	f.Add(uint64(42), uint64(0x5eed), math.NaN())
+	f.Fuzz(func(t *testing.T, seed, stream uint64, p float64) {
+		got, want := NewStream(seed, stream), NewStream(seed, stream)
+		th := NewThreshold(p)
+		for i := 0; i < 4; i++ {
+			if g, w := got.Geometric(th), refGeometric(want, p); g != w || *got != *want {
+				t.Fatalf("Geometric(%v) draw %d: got %d state %+v, want %d state %+v", p, i, g, *got, w, *want)
+			}
+			if g, w := got.Bool(p), refBool(want, p); g != w || *got != *want {
+				t.Fatalf("Bool(%v) draw %d: got %v state %+v, want %v state %+v", p, i, g, *got, w, *want)
+			}
+		}
+	})
+}
+
+// TestBelowTies drives Below through the tied-high-word path that random
+// probabilities almost never reach: p is set to the next draw's own
+// value k/2^53 (not below: Float64() == p) and to (k+1)/2^53 (below),
+// whose bounds share the draw's high 32 bits.
+func TestBelowTies(t *testing.T) {
+	r := New(11)
+	for i := 0; i < 10_000; i++ {
+		peek := *r
+		k := peek.Uint64() >> 11
+		for _, p := range []float64{float64(k) / (1 << 53), float64(k+1) / (1 << 53)} {
+			got, want := *r, *r
+			if g, w := got.Bool(p), refBool(&want, p); g != w || got != want {
+				t.Fatalf("draw %d: Bool(%v) = %v, want %v", i, p, g, w)
+			}
+		}
+		r.Uint64()
+	}
+}
+
+// BenchmarkGeometric measures one dependence-distance draw: Geometric at
+// the bundled benchmarks' DepGeoP (0.22), about 4.5 trials per sample.
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	t := NewThreshold(0.22)
+	n := 0
+	for b.Loop() {
+		n += r.Geometric(t)
+	}
+	_ = n
 }

@@ -55,7 +55,7 @@ func streamHash(t *testing.T, spec *workload.Spec, n int) string {
 		b = binary.LittleEndian.AppendUint64(b, ins.Addr)
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(ins.Dep1)))
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(ins.Dep2)))
-		b = binary.LittleEndian.AppendUint64(b, ins.Lat)
+		b = binary.LittleEndian.AppendUint64(b, uint64(ins.Lat))
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(ins.StaticID)))
 		h.Write(b)
 	}

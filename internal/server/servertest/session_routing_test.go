@@ -53,10 +53,17 @@ func openRouted(t *testing.T, base, spec string) (id, worker string) {
 	}
 }
 
+// max429Retries bounds how often one ingest chunk is resent on 429
+// backpressure, about 10 s of the tests' 1 ms retry sleeps: a server
+// stuck answering 429 fails the test instead of hanging the suite.
+// (session.Stream.PostChunk waits the server's whole-second Retry-After,
+// which would stretch the soak test's dozens of 429s by seconds each.)
+const max429Retries = 10_000
+
 // postRouted posts one ingest chunk, retrying 429 backpressure with the
-// identical bytes.
+// identical bytes at most max429Retries times.
 func postRouted(base, id, contentType string, chunk []byte) error {
-	for {
+	for retries := 0; ; retries++ {
 		resp, err := http.Post(base+"/v1/sessions/"+id+"/events", contentType, bytes.NewReader(chunk))
 		if err != nil {
 			return err
@@ -67,6 +74,9 @@ func postRouted(base, id, contentType string, chunk []byte) error {
 		case http.StatusAccepted:
 			return nil
 		case http.StatusTooManyRequests:
+			if retries == max429Retries {
+				return fmt.Errorf("ingest still 429 after %d retries: %s", retries, body)
+			}
 			time.Sleep(time.Millisecond)
 		default:
 			return fmt.Errorf("ingest → %d: %s", resp.StatusCode, body)

@@ -189,7 +189,7 @@ func TestSessionSoak(t *testing.T) {
 	start := time.Now()
 	var rejected, eventsSent atomic.Int64
 	post := func(id string, contentType string, chunk []byte) (int, error) {
-		for {
+		for retries := 0; ; retries++ {
 			resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/events", contentType, bytes.NewReader(chunk))
 			if err != nil {
 				return 0, err
@@ -203,6 +203,9 @@ func TestSessionSoak(t *testing.T) {
 			case http.StatusTooManyRequests:
 				if retryAfter == "" {
 					return 0, fmt.Errorf("429 without Retry-After")
+				}
+				if retries == max429Retries {
+					return 0, fmt.Errorf("ingest %s still 429 after %d retries", id, retries)
 				}
 				rejected.Add(1)
 				time.Sleep(time.Millisecond) // then retry the identical bytes

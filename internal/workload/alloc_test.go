@@ -41,14 +41,15 @@ func TestWrongPathNextZeroAllocs(t *testing.T) {
 	}
 	wp := NewWrongPath(w)
 	wp.Redirect(0x4000)
+	var ins Instruction
 	allocs := testing.AllocsPerRun(50_000, func() {
-		ins := wp.Next()
+		wp.NextInto(&ins)
 		if ins.Kind == KindBranch {
 			wp.ResolveBranch(&ins, true)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("WrongPath.Next allocates %.4f times per instruction, want 0", allocs)
+		t.Fatalf("WrongPath.NextInto allocates %.4f times per instruction, want 0", allocs)
 	}
 }
 

@@ -13,13 +13,14 @@ func BenchmarkWalkerNext(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var ins Instruction
 	for i := 0; i < 50_000; i++ {
-		w.Next() // reach steady state (call stack at depth, phases warm)
+		w.NextInto(&ins) // reach steady state (call stack at depth, phases warm)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Next()
+		w.NextInto(&ins)
 	}
 }
 
@@ -35,10 +36,11 @@ func BenchmarkWrongPathNext(b *testing.B) {
 	}
 	wp := NewWrongPath(w)
 	wp.Redirect(0x1000)
+	var ins Instruction
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ins := wp.Next()
+		wp.NextInto(&ins)
 		if ins.Kind == KindBranch {
 			wp.ResolveBranch(&ins, i%2 == 0)
 		}

@@ -1,6 +1,10 @@
 package workload
 
-import "paco/internal/rng"
+import (
+	"math/bits"
+
+	"paco/internal/rng"
+)
 
 // BranchClass enumerates the behavioural classes of static conditional
 // branches. The mix of classes (and their parameters) is what gives each
@@ -141,7 +145,7 @@ type correlatedGen struct {
 
 func (c *correlatedGen) next(g *globalCtx, _ *rng.RNG) bool {
 	x := g.history & c.maskBits
-	taken := popcount32(x)&1 == 1
+	taken := bits.OnesCount32(x)&1 == 1
 	if c.invert {
 		taken = !taken
 	}
@@ -167,15 +171,6 @@ type randomGen struct{ pTaken float64 }
 
 func (rg *randomGen) next(_ *globalCtx, r *rng.RNG) bool { return r.Bool(rg.pTaken) }
 func (rg *randomGen) class() BranchClass                 { return ClassRandom }
-
-func popcount32(v uint32) int {
-	n := 0
-	for v != 0 {
-		n += int(v & 1)
-		v >>= 1
-	}
-	return n
-}
 
 // staticBranch is one static conditional branch: an outcome generator plus
 // its private RNG stream so behaviour is independent of CFG interleaving.
@@ -252,14 +247,14 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 		// ClassCorrelated's 2-bit function). A fixed repeating local
 		// pattern would be invisible to a global-history predictor.
 		mask := uint32(0)
-		for popcount32(mask) < 3 {
+		for bits.OnesCount32(mask) < 3 {
 			mask |= 1 << uint(r.Intn(7))
 		}
 		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassPattern}
 	case ClassCorrelated:
 		// Use 2-3 bits of recent history within gshare's reach.
 		mask := uint32(0)
-		for popcount32(mask) < 2 {
+		for bits.OnesCount32(mask) < 2 {
 			mask |= 1 << uint(r.Intn(6))
 		}
 		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassCorrelated}

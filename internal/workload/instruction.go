@@ -61,14 +61,12 @@ func (k Kind) String() string {
 func (k Kind) IsControl() bool { return k >= KindBranch }
 
 // Instruction is one dynamic instruction produced by a Walker (goodpath) or
-// WrongPath generator (badpath).
+// WrongPath generator (badpath). It is 48 bytes, written once into the
+// consumer's slot (see Walker.NextInto): the kernel fetches one per
+// simulated instruction, so its size is per-instruction memory traffic.
 type Instruction struct {
 	// PC is the instruction address.
 	PC uint64
-	// Kind classifies the instruction.
-	Kind Kind
-	// Taken is the actual direction of a conditional branch.
-	Taken bool
 	// NextPC is the actual next instruction address (target if taken,
 	// fall-through otherwise; targets for jumps/calls/returns/indirect).
 	NextPC uint64
@@ -80,11 +78,15 @@ type Instruction struct {
 	// Dep1 and Dep2 are data dependence distances: this instruction reads
 	// the results of the instructions Dep1 and Dep2 dynamic instructions
 	// earlier. Zero means no dependence.
-	Dep1, Dep2 int
-	// Lat is the base execution latency in cycles (memory adds cache
-	// latency on top).
-	Lat uint64
+	Dep1, Dep2 int32
 	// StaticID identifies the static conditional branch (-1 otherwise);
 	// used by diagnostics and tests.
-	StaticID int
+	StaticID int32
+	// Lat is the base execution latency in cycles (memory adds cache
+	// latency on top).
+	Lat uint8
+	// Kind classifies the instruction.
+	Kind Kind
+	// Taken is the actual direction of a conditional branch.
+	Taken bool
 }

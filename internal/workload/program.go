@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"paco/internal/rng"
 )
@@ -299,7 +300,7 @@ func (b *builder) buildRegion(phIdx int) int {
 	entries := make([]int, funcCount)
 	// Leaves first so call segments have callees.
 	for f := 0; f < funcCount; f++ {
-		entries[f] = b.buildFunction(f < leafCount, entries[:minInt(f, leafCount)])
+		entries[f] = b.buildFunction(f < leafCount, entries[:min(f, leafCount)])
 	}
 	// Driver: a long unrolled loop of calls covering every function, then
 	// a jump back to the top.
@@ -434,7 +435,7 @@ func (b *builder) makeDiamondBranch() *staticBranch {
 // returns its index. Terminator is filled by the caller.
 func (b *builder) newBlock(extraLen int) int {
 	spec := b.spec
-	blen := 1 + b.r.Geometric(1.0/float64(spec.AvgBlockLen)) + extraLen
+	blen := 1 + b.r.Geometric(rng.NewThreshold(1.0/float64(spec.AvgBlockLen))) + extraLen
 	if blen > 4*spec.AvgBlockLen {
 		blen = 4 * spec.AvgBlockLen
 	}
@@ -510,17 +511,5 @@ func (b *builder) assignPCs(phIdx int) {
 	}
 }
 
-func nextPow2u(v uint64) uint64 {
-	p := uint64(1)
-	for p < v {
-		p <<= 1
-	}
-	return p
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// nextPow2u is the least power of two >= v, for v >= 1.
+func nextPow2u(v uint64) uint64 { return 1 << bits.Len64(v-1) }

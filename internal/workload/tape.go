@@ -76,7 +76,7 @@ func (t *Tape) produce() {
 	if t.head-t.released >= uint64(len(t.buf)) {
 		t.reclaim()
 	}
-	t.buf[t.head&t.mask] = t.w.Next()
+	t.w.NextInto(&t.buf[t.head&t.mask])
 	t.head++
 }
 
@@ -120,14 +120,14 @@ func (c *Cursor) Pos() uint64 { return c.pos }
 // Walker returns the tape's shared walker.
 func (c *Cursor) Walker() *Walker { return c.tape.w }
 
-// Next returns the next goodpath instruction, producing from the shared
-// walker only when this cursor is the first to reach the stream head.
-func (c *Cursor) Next() Instruction {
+// NextInto copies the next goodpath instruction into ins, producing from
+// the shared walker only when this cursor is the first to reach the
+// stream head.
+func (c *Cursor) NextInto(ins *Instruction) {
 	t := c.tape
 	if c.pos == t.head {
 		t.produce()
 	}
-	ins := t.buf[c.pos&t.mask]
+	*ins = t.buf[c.pos&t.mask]
 	c.pos++
-	return ins
 }

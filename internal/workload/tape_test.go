@@ -33,6 +33,7 @@ func TestCursorMatchesWalker(t *testing.T) {
 	// cursors drift apart and wrap the ring multiple times.
 	r := rand.New(rand.NewSource(7))
 	read := make([]int, readers)
+	var got Instruction // reused: NextInto must overwrite every field
 	for {
 		allDone := true
 		for i, cu := range curs {
@@ -45,7 +46,7 @@ func TestCursorMatchesWalker(t *testing.T) {
 				burst = left
 			}
 			for j := 0; j < burst; j++ {
-				got := cu.Next()
+				cu.NextInto(&got)
 				if got != want[read[i]] {
 					t.Fatalf("cursor %d position %d: got %+v want %+v", i, read[i], got, want[read[i]])
 				}
@@ -77,15 +78,16 @@ func TestTapeGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	const drift = 3 * tapeInitialSize
+	var got Instruction
 	for i := 0; i < drift; i++ {
-		fast.Next()
+		fast.NextInto(&got)
 	}
 	if len(tape.buf) < drift {
 		t.Fatalf("ring did not grow: len %d after %d drift", len(tape.buf), drift)
 	}
 	for i := 0; i < drift; i++ {
-		got, want := slow.Next(), ref.Next()
-		if got != want {
+		slow.NextInto(&got)
+		if want := ref.Next(); got != want {
 			t.Fatalf("slow cursor position %d: got %+v want %+v", i, got, want)
 		}
 	}
@@ -108,13 +110,16 @@ func TestTapeWrongPath(t *testing.T) {
 	wpRef := NewWrongPath(ref)
 	wpTape.Redirect(0x4000_1234)
 	wpRef.Redirect(0x4000_1234)
+	var good, got Instruction
 	for i := 0; i < 10_000; i++ {
 		// Drain the taped goodpath in between; badpath generation must
 		// not observe it.
 		if i%3 == 0 {
-			cur.Next()
+			cur.NextInto(&good)
 		}
-		got, want := wpTape.Next(), wpRef.Next()
+		var want Instruction
+		wpTape.NextInto(&got)
+		wpRef.NextInto(&want)
 		if got != want {
 			t.Fatalf("badpath instruction %d: got %+v want %+v", i, got, want)
 		}
@@ -127,7 +132,7 @@ func TestNewCursorAfterConsumptionPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tape.NewCursor().Next()
+	tape.NewCursor().NextInto(new(Instruction))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewCursor after consumption began did not panic")
@@ -144,13 +149,14 @@ func TestCursorZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := tape.NewCursor(), tape.NewCursor()
+	var ins Instruction
 	for i := 0; i < 100_000; i++ {
-		a.Next()
-		b.Next()
+		a.NextInto(&ins)
+		b.NextInto(&ins)
 	}
 	allocs := testing.AllocsPerRun(50_000, func() {
-		a.Next()
-		b.Next()
+		a.NextInto(&ins)
+		b.NextInto(&ins)
 	})
 	if allocs != 0 {
 		t.Fatalf("cursor read path allocates %.2f times per step in steady state, want 0", allocs)
@@ -167,21 +173,20 @@ func BenchmarkCursorNext(b *testing.B) {
 	}
 	lead := tape.NewCursor()
 	cur := tape.NewCursor()
+	var sink Instruction
 	for i := 0; i < 1024; i++ {
-		lead.Next()
+		lead.NextInto(&sink)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sink Instruction
 	for i := 0; i < b.N; i++ {
 		if cur.Pos() == lead.Pos() {
 			b.StopTimer()
 			for j := 0; j < 1024; j++ {
-				lead.Next()
+				lead.NextInto(&sink)
 			}
 			b.StartTimer()
 		}
-		sink = cur.Next()
+		cur.NextInto(&sink)
 	}
-	_ = sink
 }

@@ -15,6 +15,7 @@ type Walker struct {
 	prog   *program
 	mems   []memPattern // prog.mems, one load closer to Next
 	r      *rng.RNG
+	depGeo rng.Threshold // DepGeoP, prepared once for depDist
 	ctx    globalCtx
 	wsMask uint64
 
@@ -37,11 +38,16 @@ func NewWalker(spec *Spec) (*Walker, error) {
 	}
 	r := rng.NewStream(spec.Seed, 0x5eed)
 	prog := build(spec, r)
+	depP := spec.DepGeoP
+	if depP <= 0 || depP > 1 {
+		depP = 0.5
+	}
 	w := &Walker{
 		spec:      spec,
 		prog:      prog,
 		mems:      prog.mems,
 		r:         r.Fork(),
+		depGeo:    rng.NewThreshold(depP),
 		wsMask:    nextPow2u(uint64(spec.WorkingSetKB)*1024) - 1,
 		callStack: make([]int, 0, maxCallDepth),
 	}
@@ -56,9 +62,6 @@ func NewWalker(spec *Spec) (*Walker, error) {
 	return w, nil
 }
 
-// Spec returns the walker's benchmark spec.
-func (w *Walker) Spec() *Spec { return w.spec }
-
 // Produced returns how many goodpath instructions have been generated.
 func (w *Walker) Produced() uint64 { return w.produced }
 
@@ -71,8 +74,15 @@ func (w *Walker) PhaseSwitches() uint64 { return w.phaseSwitches }
 // KindCount returns how many instructions of kind k have been produced.
 func (w *Walker) KindCount(k Kind) uint64 { return w.kindCounts[k] }
 
-// Next produces the next goodpath instruction.
-func (w *Walker) Next() Instruction {
+// Next returns the next goodpath instruction.
+func (w *Walker) Next() (ins Instruction) {
+	w.NextInto(&ins)
+	return ins
+}
+
+// NextInto writes the next goodpath instruction into ins, overwriting
+// every field: the kernel generates straight into its fetch slot.
+func (w *Walker) NextInto(ins *Instruction) {
 	w.maybeSwitchPhase()
 	blk := &w.region[w.blockIdx]
 	// Fall through terminator-less blocks (segment stitching).
@@ -81,68 +91,56 @@ func (w *Walker) Next() Instruction {
 		w.instrIdx = 0
 		blk = &w.region[w.blockIdx]
 	}
-	var ins Instruction
 	if w.instrIdx < len(blk.instrs) {
 		si := &blk.instrs[w.instrIdx]
-		ins = Instruction{
-			PC:       blk.pc + uint64(w.instrIdx)*instrBytes,
-			Kind:     si.kind,
-			Lat:      uint64(si.lat),
-			Dep1:     w.depDist(),
-			StaticID: -1,
-		}
+		// Zero the slot, then store fields: a composite literal would be
+		// built on the stack and copied, and the copy's wide loads stall
+		// on the literal's narrow stores.
+		*ins = Instruction{}
+		ins.PC = blk.pc + uint64(w.instrIdx)*instrBytes
+		ins.NextPC = ins.PC + instrBytes
+		ins.Dep1 = w.depDist()
+		ins.StaticID, ins.Lat, ins.Kind = -1, si.lat, si.kind
 		if si.hasDep2 {
 			ins.Dep2 = w.depDist()
 		}
 		if si.mem != 0 {
 			ins.Addr = w.mems[si.mem-1].next(w.r, w.wsMask)
 		}
-		ins.NextPC = ins.PC + instrBytes
 		w.instrIdx++
 	} else {
-		ins = w.terminatorInstr(blk)
+		w.terminatorInstr(blk, ins)
 	}
 	w.produced++
 	w.phaseCount++
 	w.kindCounts[ins.Kind]++
-	return ins
 }
 
-func (w *Walker) depP() float64 {
-	p := w.spec.DepGeoP
-	if p <= 0 || p > 1 {
-		return 0.5
-	}
-	return p
-}
+// depIndep is depDist's independence probability, prepared once.
+var depIndep = rng.NewThreshold(0.3)
 
-// depDist samples one dependence distance: a third of values are
-// independent (zero), the rest geometric — wide enough for realistic ILP.
-// The independence draw compares an inlined Float64 against the constant
-// directly (exactly what Bool does for an in-range p) — this runs once or
+// depDist samples one dependence distance: 30% of values are independent
+// (zero), the rest geometric — wide enough for realistic ILP. Both draws
+// are integer compares against prepared thresholds; this runs once or
 // twice per simulated instruction.
-func (w *Walker) depDist() int {
-	if w.r.Float64() < 0.3 {
+func (w *Walker) depDist() int32 {
+	if w.r.Below(depIndep) {
 		return 0
 	}
-	return 1 + w.r.Geometric(w.depP())
+	return 1 + int32(w.r.Geometric(w.depGeo))
 }
 
-func (w *Walker) terminatorInstr(blk *block) Instruction {
+func (w *Walker) terminatorInstr(blk *block, ins *Instruction) {
 	t := &blk.term
-	termPC := blk.pc + uint64(len(blk.instrs))*instrBytes
-	ins := Instruction{
-		PC:       termPC,
-		Kind:     t.kind,
-		Lat:      1,
-		Dep1:     w.depDist(),
-		StaticID: -1,
-	}
+	*ins = Instruction{} // zeroed, then stored field by field as in NextInto
+	ins.PC = blk.pc + uint64(len(blk.instrs))*instrBytes
+	ins.Dep1 = w.depDist()
+	ins.StaticID, ins.Lat, ins.Kind = -1, 1, t.kind
 	switch t.kind {
 	case KindBranch:
 		taken := t.branch.next(&w.ctx)
 		ins.Taken = taken
-		ins.StaticID = t.branch.id
+		ins.StaticID = int32(t.branch.id)
 		if taken {
 			w.blockIdx = t.takenBlk
 			ins.AltPC = w.region[t.fallBlk].pc // mispredicted: falls through
@@ -183,7 +181,6 @@ func (w *Walker) terminatorInstr(blk *block) Instruction {
 		panic("workload: bad terminator kind")
 	}
 	w.instrIdx = 0
-	return ins
 }
 
 func (w *Walker) maybeSwitchPhase() {
@@ -248,13 +245,19 @@ func (wp *WrongPath) Redirect(pc uint64) { wp.pc = pc }
 // mispredicting half the time) keeps deep wrong-path shadows realistic.
 const BadpathMispredictRate = 0.10
 
-// ResolveBranch fixes up a badpath conditional branch produced by Next
+// WrongPath's draw probabilities, prepared once.
+var (
+	badpathMispredict = rng.NewThreshold(BadpathMispredictRate)
+	badpathDep        = rng.NewThreshold(0.5)
+)
+
+// ResolveBranch fixes up a badpath conditional branch produced by NextInto
 // once the pipeline has predicted its direction: the actual outcome agrees
 // with the prediction except at BadpathMispredictRate, and the generator's
 // fetch position follows the actual path.
 func (wp *WrongPath) ResolveBranch(ins *Instruction, predictedTaken bool) {
 	taken := predictedTaken
-	if wp.r.Bool(BadpathMispredictRate) {
+	if wp.r.Below(badpathMispredict) {
 		taken = !taken
 	}
 	target := ins.AltPC // candidate taken target chosen at generation
@@ -269,9 +272,13 @@ func (wp *WrongPath) ResolveBranch(ins *Instruction, predictedTaken bool) {
 	wp.pc = ins.NextPC
 }
 
-// Next produces the next badpath instruction at the generator's current PC.
-func (wp *WrongPath) Next() Instruction {
-	ins := Instruction{PC: wp.pc, Lat: 1, Dep1: 1 + wp.r.Geometric(0.5), StaticID: -1}
+// NextInto writes the next badpath instruction at the generator's current
+// PC into ins, overwriting every field.
+func (wp *WrongPath) NextInto(ins *Instruction) {
+	*ins = Instruction{} // zeroed, then stored field by field as in Walker.NextInto
+	ins.PC = wp.pc
+	ins.Dep1 = 1 + int32(wp.r.Geometric(badpathDep))
+	ins.StaticID, ins.Lat = -1, 1
 	x := wp.r.Float64()
 	spec := wp.w.spec
 	switch {
@@ -292,11 +299,10 @@ func (wp *WrongPath) Next() Instruction {
 		// instances) until the mispredict resolves.
 		ins.Kind = KindBranch
 		ins.AltPC = ins.PC + instrBytes*uint64(2+wp.r.Intn(48))
-		return ins
+		return
 	default:
 		ins.Kind = KindALU
 	}
 	ins.NextPC = ins.PC + instrBytes
 	wp.pc = ins.NextPC
-	return ins
 }

@@ -241,8 +241,9 @@ func TestWrongPathGenerator(t *testing.T) {
 	wp.Redirect(0x1000_0040)
 	sawBranch, sawMem := false, false
 	pc := uint64(0x1000_0040)
+	var ins Instruction
 	for i := 0; i < 2000; i++ {
-		ins := wp.Next()
+		wp.NextInto(&ins)
 		if ins.PC != pc {
 			t.Fatalf("badpath PC %#x, expected %#x", ins.PC, pc)
 		}
@@ -269,8 +270,9 @@ func TestWrongPathMispredictRate(t *testing.T) {
 	wp.Redirect(0x1000_0000)
 	flips := 0
 	n := 0
+	var ins Instruction
 	for i := 0; i < 20000; i++ {
-		ins := wp.Next()
+		wp.NextInto(&ins)
 		if ins.Kind != KindBranch {
 			continue
 		}
