@@ -353,11 +353,20 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s takes %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	// The key is built on the stack; only a new series copies it.
+	var buf [128]byte
+	key := buf[:0]
+	for i, value := range values {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, value...)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s := v.m[key]
+	s := v.m[string(key)]
 	if s == nil {
+		key := string(key)
 		labels := make([]Label, len(v.labels))
 		for i := range v.labels {
 			labels[i] = Label{Key: v.labels[i], Value: values[i]}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -38,7 +39,11 @@ var traceCounter atomic.Uint64
 // IDs are identifiers, not secrets; they only need to not collide
 // across the processes of one deployment.
 func NewTraceID() string {
-	return fmt.Sprintf("%s-%06x", tracePrefix, traceCounter.Add(1))
+	var num, id [32]byte
+	hex := strconv.AppendUint(num[:0], traceCounter.Add(1), 16)
+	b := append(append(id[:0], tracePrefix...), '-')
+	b = append(b, "000000"[min(len(hex), 6):]...) // at least six digits
+	return string(append(b, hex...))
 }
 
 // TraceKey is the slog attribute key every trace-scoped log line uses,

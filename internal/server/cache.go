@@ -314,44 +314,59 @@ func hex4(b []byte) rune {
 	return rune(r)
 }
 
-// appendMarshalString appends s, valid UTF-8, quoted as json.Marshal
-// quotes it: '"' and '\\' escaped, control characters as \b, \f, \n, \r,
-// \t or \u00XX, '<', '>' and '&' and U+2028 and U+2029 as \u escapes.
-func appendMarshalString(dst, s []byte) []byte {
+// appendMarshalString appends s quoted exactly as json.Marshal quotes
+// it: '"' and '\\' escaped, control characters as \b, \f, \n, \r, \t or
+// \u00XX, '<', '>' and '&' and U+2028 and U+2029 as \u escapes, and each
+// byte that is not valid UTF-8 as \ufffd. It takes a string as well as
+// bytes, so the hand-written status head quotes its fields with it
+// without converting them.
+func appendMarshalString[S ~[]byte | ~string](dst []byte, s S) []byte {
 	const hexDigits = "0123456789abcdef"
 	dst = append(dst, '"')
+	start := 0 // s[start:i] is copied as it stands
 	for i := 0; i < len(s); {
 		b := s[i]
-		if b >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(s[i:])
-			if r == '\u2028' || r == '\u2029' {
-				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			} else {
-				dst = append(dst, s[i:i+size]...)
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
 			}
-			i += size
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
 			continue
 		}
-		switch {
-		case b == '"' || b == '\\':
-			dst = append(dst, '\\', b)
-		case b == '\b':
-			dst = append(dst, '\\', 'b')
-		case b == '\f':
-			dst = append(dst, '\\', 'f')
-		case b == '\n':
-			dst = append(dst, '\\', 'n')
-		case b == '\r':
-			dst = append(dst, '\\', 'r')
-		case b == '\t':
-			dst = append(dst, '\\', 't')
-		case b < 0x20 || b == '<' || b == '>' || b == '&':
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-		default:
-			dst = append(dst, b)
+		// At most utf8.UTFMax bytes are converted, so the string stays on
+		// the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			if r == utf8.RuneError {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			}
+			start = i + size
 		}
-		i++
+		i += size
 	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 
@@ -416,7 +431,7 @@ type CacheStats struct {
 // NewCache reloads the file; bytes in memory were written by this
 // process and are not checked again.
 const (
-	frameMagic  = "paco-cache\x00\x01"
+	frameMagic  = "paco-cache\x00\x02"
 	frameHeader = len(frameMagic) + 8 + 4
 )
 

@@ -219,7 +219,7 @@ func TestSpecKeyMatchesAcrossSpellings(t *testing.T) {
 	}
 }
 
-func mustGrid(t *testing.T, raw string) campaign.Grid {
+func mustGrid(t testing.TB, raw string) campaign.Grid {
 	t.Helper()
 	var g campaign.Grid
 	if err := json.Unmarshal([]byte(raw), &g); err != nil {

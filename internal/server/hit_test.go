@@ -307,6 +307,12 @@ func sweepPayload(t testing.TB, s *Server, n int) (campaign.Grid, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, putJobEntry(t, s, g, syntheticResults(n))
+}
+
+// syntheticResults is a sweep-shaped result set of n completed cells,
+// each with gating extras.
+func syntheticResults(n int) []campaign.Result {
 	results := make([]campaign.Result, n)
 	for i := range results {
 		r := &results[i]
@@ -320,7 +326,7 @@ func sweepPayload(t testing.TB, s *Server, n int) (campaign.Grid, string) {
 		r.SetExtra("rms_error", 0.01*float64(i+1))
 		r.SetExtra("probe_instances", float64(40+i))
 	}
-	return g, putJobEntry(t, s, g, results)
+	return results
 }
 
 // discardWriter is a ResponseWriter that keeps only the status code, so
@@ -402,36 +408,13 @@ func TestJobEntryRoundTrip(t *testing.T) {
 		"empty":           nil,
 		"short header":    e[:jobEntryHeader-1],
 		"no results":      e[:jobEntryHeader],
+		"no spec":         e[:jobEntryHeader+len(hit.results)],
 		"zero length":     withLength(0),
 		"length past end": withLength(len(e)),
 	} {
 		if parseStored(bad) != nil {
 			t.Errorf("parseStored accepted an entry with %s", name)
 		}
-	}
-}
-
-// BenchmarkSubmitHit measures POST /v1/jobs answered from the cache for
-// an 8-cell sweep-shaped grid, through the full handler.
-func BenchmarkSubmitHit(b *testing.B) {
-	s, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	grid, _ := sweepPayload(b, s, 8)
-	spec, err := json.Marshal(grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := s.Handler()
-	w := &discardWriter{h: http.Header{}}
-	b.ReportAllocs()
-	for b.Loop() {
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(spec)))
-	}
-	if w.code != http.StatusOK {
-		b.Fatalf("POST answered %d, want a 200 hit", w.code)
 	}
 }
 

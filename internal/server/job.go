@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -46,14 +48,15 @@ type job struct {
 	summary   *campaign.Summary
 	errMsg    string
 
-	// stored is a cache hit's results array exactly as the cache holds
-	// it: the JSON a hit's response splices in, indented one level. It
-	// is set before the job is registered and never changes, so the POST
-	// answering the hit reads it without j.mu. Typed readers decode it
-	// into results on first use (resultsLocked).
-	stored    json.RawMessage
-	decoded   bool
-	decodeErr error
+	// stored and storedSpec are a cache hit's results array and spec
+	// exactly as the cache holds them: the JSON a hit's response splices
+	// in, indented one level. They are set before the job is registered
+	// and never change, so the POST answering the hit reads them without
+	// j.mu. Typed readers decode them into results and grid on first use
+	// (resultsLocked, gridLocked).
+	stored, storedSpec       json.RawMessage
+	decoded, specDecoded     bool
+	decodeErr, specDecodeErr error
 
 	subs   map[chan sseEvent]struct{}
 	doneCh chan struct{} // closed when the job reaches a terminal state
@@ -116,10 +119,13 @@ func (j *job) status(withResults bool) JobStatus {
 		Trace:   j.trace,
 		Status:  j.state,
 		Cache:   j.fromCache,
-		Spec:    j.grid,
 		Created: j.created.Format(time.RFC3339Nano),
 		Summary: j.summary,
 		Error:   j.errMsg,
+	}
+	var err error
+	if st.Spec, err = j.gridLocked(); err != nil {
+		st.Error = err.Error()
 	}
 	if !j.started.IsZero() {
 		st.Started = j.started.Format(time.RFC3339Nano)
@@ -128,29 +134,113 @@ func (j *job) status(withResults bool) JobStatus {
 		st.Finished = j.finished.Format(time.RFC3339Nano)
 	}
 	st.Cells.Total = j.cells
-	switch {
-	case j.state == stateQueued:
-		st.Cells.Queued = j.cells
-	case j.runner != nil:
-		snap := j.runner.Snapshot()
-		st.Cells.Queued = snap.Queued
-		st.Cells.Running = snap.Running
-		st.Cells.Done = snap.Done
-	case j.state == stateRunning:
-		// Federated job: cells settle shard by shard; unfinished shards
-		// count as queued (the coordinator cannot see inside a worker).
-		st.Cells.Done = j.cellsDone
-		st.Cells.Queued = j.cells - j.cellsDone
-	default:
-		st.Cells.Done = j.cells
-	}
+	st.Cells.Queued, st.Cells.Running, st.Cells.Done = j.cellCountsLocked()
 	if withResults && j.state == stateDone {
-		var err error
 		if st.Results, err = j.resultsLocked(); err != nil {
 			st.Error = err.Error()
 		}
 	}
 	return st
+}
+
+// cellCountsLocked partitions the job's cells into queued, running and
+// done. j.mu must be held.
+func (j *job) cellCountsLocked() (queued, running, done int) {
+	switch {
+	case j.state == stateQueued:
+		return j.cells, 0, 0
+	case j.runner != nil:
+		snap := j.runner.Snapshot()
+		return snap.Queued, snap.Running, snap.Done
+	case j.state == stateRunning:
+		// Federated job: cells settle shard by shard; unfinished shards
+		// count as queued (the coordinator cannot see inside a worker).
+		return j.cells - j.cellsDone, 0, j.cellsDone
+	default:
+		return 0, 0, j.cells
+	}
+}
+
+// appendHead appends the job's status document as writeJSON writes
+// j.status(false) — json.MarshalIndent's bytes — up to but not
+// including its closing "\n}", with spec, the spec as MarshalIndent
+// writes it one level deep, spliced in as the spec member. It uses no
+// reflection: the members are few and fixed, strings are quoted by
+// appendMarshalString (json.Marshal's escaping) and the summary's mean
+// by appendMarshalFloat. writeHit continues the document with the
+// results; TestHitHeadMatchesMarshalIndent and FuzzHitHead hold it to
+// the encoder.
+func (j *job) appendHead(b, spec []byte) []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	b = appendMarshalString(append(b, "{\n  \"id\": "...), j.id)
+	b = appendMarshalString(append(b, ",\n  \"key\": "...), j.key)
+	if j.trace != "" {
+		b = appendMarshalString(append(b, ",\n  \"trace\": "...), j.trace)
+	}
+	b = appendMarshalString(append(b, ",\n  \"status\": "...), j.state)
+	b = appendMarshalString(append(b, ",\n  \"cache\": "...), j.fromCache)
+	b = append(append(b, ",\n  \"spec\": "...), spec...)
+	queued, running, done := j.cellCountsLocked()
+	b = strconv.AppendInt(append(b, ",\n  \"cells\": {\n    \"total\": "...), int64(j.cells), 10)
+	b = strconv.AppendInt(append(b, ",\n    \"queued\": "...), int64(queued), 10)
+	b = strconv.AppendInt(append(b, ",\n    \"running\": "...), int64(running), 10)
+	b = strconv.AppendInt(append(b, ",\n    \"done\": "...), int64(done), 10)
+	b = appendTime(append(b, "\n  },\n  \"created\": "...), j.created)
+	if !j.started.IsZero() {
+		b = appendTime(append(b, ",\n  \"started\": "...), j.started)
+	}
+	if !j.finished.IsZero() {
+		b = appendTime(append(b, ",\n  \"finished\": "...), j.finished)
+	}
+	if sum := j.summary; sum != nil {
+		b = strconv.AppendInt(append(b, ",\n  \"summary\": {\n    \"jobs\": "...), int64(sum.Jobs), 10)
+		b = strconv.AppendInt(append(b, ",\n    \"completed\": "...), int64(sum.Completed), 10)
+		b = strconv.AppendInt(append(b, ",\n    \"failed\": "...), int64(sum.Failed), 10)
+		b = strconv.AppendInt(append(b, ",\n    \"skipped\": "...), int64(sum.Skipped), 10)
+		b = strconv.AppendUint(append(b, ",\n    \"cycles\": "...), sum.Cycles, 10)
+		b = strconv.AppendUint(append(b, ",\n    \"retired\": "...), sum.Retired, 10)
+		b = appendMarshalFloat(append(b, ",\n    \"mean_ipc\": "...), sum.MeanIPC)
+		b = append(b, "\n  }"...)
+	}
+	if j.errMsg != "" {
+		b = appendMarshalString(append(b, ",\n  \"error\": "...), j.errMsg)
+	}
+	return b
+}
+
+// appendTime appends t as the JSON string of its RFC 3339 form, as the
+// status document spells its timestamps; the form needs no escaping.
+func appendTime(b []byte, t time.Time) []byte {
+	return append(t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"')
+}
+
+// appendMarshalFloat appends f, which must be finite, as json.Marshal
+// spells a float64: the shortest round-trip form, in exponent notation
+// only below 1e-6 or from 1e21 on, with a one-digit negative exponent
+// not zero-padded.
+func appendMarshalFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// gridLocked returns the job's typed spec, decoding a cache hit's
+// stored bytes on first use (at most once). j.mu must be held.
+func (j *job) gridLocked() (campaign.Grid, error) {
+	if j.storedSpec != nil && !j.specDecoded {
+		j.specDecoded = true
+		if err := json.Unmarshal(j.storedSpec, &j.grid); err != nil {
+			j.specDecodeErr = fmt.Errorf("decoding cached spec: %w", err)
+		}
+	}
+	return j.grid, j.specDecodeErr
 }
 
 // resultsLocked returns the job's typed results, decoding a cache hit's
@@ -251,15 +341,16 @@ func (j *job) fail(msg string, summary *campaign.Summary) {
 
 // completeFromCache marks a freshly created job as answered by the
 // content-addressed cache: born done, no simulation behind it. The
-// stored results stay undecoded until a typed reader needs them.
-func (j *job) completeFromCache(stored json.RawMessage, summary campaign.Summary) {
+// stored results and spec stay undecoded until a typed reader needs
+// them.
+func (j *job) completeFromCache(hit *storedHit) {
 	j.mu.Lock()
 	j.fromCache = "hit"
 	j.state = stateDone
 	now := time.Now().UTC()
 	j.started, j.finished = now, now
-	j.stored = stored
-	j.summary = &summary
+	j.stored, j.storedSpec = hit.results, hit.spec
+	j.summary = &hit.summary
 	j.mu.Unlock()
 	close(j.doneCh)
 }

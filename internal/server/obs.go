@@ -47,7 +47,8 @@ type serverObs struct {
 	httpDuration *obs.HistogramVec
 	httpRequests *obs.CounterVec
 
-	// Content-addressed lookup outcomes by kind (job, shard, experiment).
+	// Content-addressed lookup outcomes by kind (request, job, shard,
+	// experiment); a request lookup is admissionMemo's.
 	cacheLookups *obs.CounterVec
 
 	// POST /v1/jobs receipt to response written, by cache verdict
@@ -163,7 +164,7 @@ func newServerObs(s *Server, logger *slog.Logger, flightSpans int) *serverObs {
 	o.httpDuration = r.HistogramVec("paco_http_request_duration_seconds",
 		"HTTP request duration by mux route.", "route", obs.DurationBuckets())
 	o.cacheLookups = r.CounterVec("paco_cache_lookups_total",
-		"Content-addressed lookups by kind (job, shard, experiment) and outcome.", "kind", "outcome")
+		"Content-addressed lookups by kind (request, job, shard, experiment) and outcome.", "kind", "outcome")
 	o.admitDuration = r.HistogramVec("paco_job_admit_duration_seconds",
 		"Seconds from POST /v1/jobs receipt to response written, by cache verdict (hit, inflight, miss).",
 		"cache", obs.DurationBuckets())

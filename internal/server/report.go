@@ -156,13 +156,18 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusInternalServerError, "campaign %s: %v", j.id, err)
 		return
 	}
+	st := j.status(false)
+	if st.Error != "" {
+		errorJSON(w, http.StatusInternalServerError, "campaign %s: %s", j.id, st.Error)
+		return
+	}
 	report := CampaignReport{
 		Schema:     ReportSchema,
 		Key:        j.key,
 		Status:     stateDone,
 		Cells:      j.cells,
-		Spec:       j.grid,
-		Summary:    j.status(false).Summary,
+		Spec:       st.Spec,
+		Summary:    st.Summary,
 		Benchmarks: rollupBenchmarks(results),
 	}
 	if r.URL.Query().Get("exec") == "1" {

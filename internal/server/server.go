@@ -18,6 +18,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -148,6 +149,7 @@ type Server struct {
 	cfg      Config
 	expCfg   experiments.Config
 	cache    *Cache
+	memo     *admissionMemo // body digest -> admission, for POST /v1/jobs
 	fed      *federation
 	sessions *session.Table // nil on a routing coordinator
 	router   *sessionRouter // non-nil iff cfg.RouteSessions
@@ -228,6 +230,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		expCfg:     expCfg,
 		cache:      cache,
+		memo:       newAdmissionMemo(cfg.MaxJobs),
 		queue:      make(chan *job, cfg.QueueSize),
 		jobs:       make(map[string]*job),
 		inflight:   make(map[string]*job),
@@ -464,35 +467,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// handleSubmit is POST /v1/jobs: parse the spec, canonicalize and hash
-// it, and answer from the cache, an in-flight duplicate, or a fresh
-// enqueue.
+// handleSubmit is POST /v1/jobs: answer from the cache, an in-flight
+// duplicate, or a fresh enqueue. A body admitted before whose result is
+// still cached is answered by its digest alone (admissionMemo); any
+// other body is parsed, normalized and hashed to its content address.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, ok := readBody(w, r, 1<<20, "reading body")
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	body, ok := readBodyInto(*buf, w, r, 1<<20, "reading body")
+	*buf = body
 	if !ok {
 		return
 	}
+	digest := sha256.Sum256(body)
+	var hit *storedHit
+	a, remembered := s.memo.get(digest)
+	if remembered {
+		if data, ok := s.cache.Lookup(a.key); ok {
+			hit = parseStored(data)
+		}
+	}
+	s.obs.lookup("request", hit != nil)
 	var grid campaign.Grid
-	if err := decodeSpec(body, &grid); err != nil {
-		errorJSON(w, http.StatusBadRequest, "parsing job spec: %v", err)
-		return
-	}
-	grid, err := grid.Normalized()
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cells := grid.Size()
-	if cells > s.cfg.MaxCells {
-		errorJSON(w, http.StatusBadRequest,
-			"grid expands to %d cells, server limit is %d", cells, s.cfg.MaxCells)
-		return
-	}
-	key, err := specKey(grid)
-	if err != nil {
-		errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
+	if hit == nil {
+		if grid, a, ok = parseSubmission(w, body, s.cfg.MaxCells); !ok {
+			return
+		}
 	}
 
 	// The job's trace ID correlates everything the submission causes —
@@ -506,7 +507,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		trace = obs.NewTraceID()
 	}
 
-	j, outcome, err := s.submit(grid, key, cells, trace)
+	var j *job
+	var outcome string
+	var err error
+	if hit != nil {
+		j, outcome, err = s.admit(grid, a.key, a.cells, trace, hit, true)
+	} else if j, outcome, err = s.submit(grid, a.key, a.cells, trace); err == nil {
+		s.memo.put(digest, a)
+	}
 	if err != nil {
 		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -515,40 +523,68 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.obs.admitDuration.With(outcome).Observe(time.Since(start).Seconds())
 }
 
+// parseSubmission decodes a job spec, normalizes it, bounds its
+// expansion and computes its content address. On failure it answers
+// the error and returns false.
+func parseSubmission(w http.ResponseWriter, body []byte, maxCells int) (campaign.Grid, admitted, bool) {
+	var grid campaign.Grid
+	if err := decodeSpec(body, &grid); err != nil {
+		errorJSON(w, http.StatusBadRequest, "parsing job spec: %v", err)
+		return grid, admitted{}, false
+	}
+	grid, err := grid.Normalized()
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "%v", err)
+		return grid, admitted{}, false
+	}
+	cells := grid.Size()
+	if cells > maxCells {
+		errorJSON(w, http.StatusBadRequest,
+			"grid expands to %d cells, server limit is %d", cells, maxCells)
+		return grid, admitted{}, false
+	}
+	key, err := specKey(grid)
+	if err != nil {
+		errorJSON(w, http.StatusInternalServerError, "%v", err)
+		return grid, admitted{}, false
+	}
+	return grid, admitted{key: key, cells: cells}, true
+}
+
 // writeAdmission answers an admitted submission with the job's status:
 // 200 with the results for a hit, 202 without them otherwise.
 func writeAdmission(w http.ResponseWriter, j *job, outcome string) {
+	w.Header().Set(obs.TraceHeader, j.trace)
+	if outcome == "hit" {
+		writeHit(w, j)
+		return
+	}
 	st := j.status(false)
 	if outcome == "inflight" {
 		// Single-flighted onto an earlier submission: report where that
 		// job stands, but the cache verdict for this request.
 		st.Cache = "inflight"
 	}
-	w.Header().Set(obs.TraceHeader, st.Trace)
-	if outcome != "hit" {
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	writeHit(w, st, j.stored)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
-// writeHit writes a hit's 200 response: st (its status without results)
-// with the stored results spliced in, byte-identical to what
-// writeJSON(st with the decoded results) writes. MarshalIndent is
-// writeJSON's encoding without the trailing newline; "results" is the
-// last member a hit's status renders (its error is empty, and a grid
-// has at least one cell); and the stored results are the encoder's
-// bytes for the results one level deep (see jobEntry).
-func writeHit(w http.ResponseWriter, st JobStatus, results json.RawMessage) {
-	head, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		panic(err) // a JobStatus of plain fields always marshals
-	}
+// writeHit writes a hit's 200 response from the job's cache entry,
+// byte-identical to what writeJSON writes for its status with the
+// decoded results: the head up to the results member (appendHead,
+// which splices the stored spec), then the stored results. "results"
+// is the last member a hit's status renders (its error is empty, and a
+// grid has at least one cell), and the stored results are the
+// encoder's bytes for the results one level deep (see jobEntry).
+func writeHit(w http.ResponseWriter, j *job) {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	head := j.appendHead((*buf)[:0], j.storedSpec)
+	head = append(head, ",\n  \"results\": "...)
+	*buf = head
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(head[:len(head)-len("\n}")])
-	io.WriteString(w, ",\n  \"results\": ")
-	w.Write(results)
+	w.Write(head)
+	w.Write(j.stored)
 	io.WriteString(w, "\n}\n")
 }
 
@@ -572,10 +608,10 @@ func specKey(grid campaign.Grid) (string, error) {
 // with, so a hit does no JSON work: a little-endian uint64 giving the
 // length of the results section, the summary as summaryWords
 // little-endian 8-byte words, the results, and the spec. The results
-// are json.MarshalIndent's bytes one level deep, exactly what writeHit
-// splices into the status document; the compact spec JSON is kept so
-// an entry can be inspected. Identity fields like the job id and
-// timestamps stay out, so the bytes are a pure function of the spec.
+// and the spec are json.MarshalIndent's bytes one level deep, exactly
+// what writeHit splices into the status document. Identity fields like
+// the job id and timestamps stay out, so the bytes are a pure function
+// of the spec.
 const jobEntryHeader = 8 + 8*summaryWords
 
 // summaryWords is the number of fields of campaign.Summary.
@@ -587,7 +623,7 @@ func jobEntry(spec campaign.Grid, results []campaign.Result, summary campaign.Su
 	if err != nil {
 		return nil, err
 	}
-	specJSON, err := json.Marshal(spec)
+	specJSON, err := json.MarshalIndent(spec, "  ", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -604,11 +640,10 @@ func jobEntry(spec campaign.Grid, results []campaign.Result, summary campaign.Su
 }
 
 // storedHit is a job's cache entry as admission reads it: the results
-// section, still bytes, and the summary. The spec is skipped; the
-// request's own grid has the same content address.
+// and spec sections, still bytes, and the summary.
 type storedHit struct {
-	results json.RawMessage
-	summary campaign.Summary
+	results, spec json.RawMessage
+	summary       campaign.Summary
 }
 
 // parseStored reads a job's cache entry, or returns nil when its
@@ -621,12 +656,13 @@ func parseStored(e []byte) *storedHit {
 		return nil
 	}
 	n := binary.LittleEndian.Uint64(e)
-	if n == 0 || n > uint64(len(e)-jobEntryHeader) {
-		return nil
+	if n == 0 || n >= uint64(len(e)-jobEntryHeader) {
+		return nil // no results, or no spec after them
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(e[8+8*i:]) }
 	return &storedHit{
 		results: e[jobEntryHeader : jobEntryHeader+int(n)],
+		spec:    e[jobEntryHeader+int(n):],
 		summary: campaign.Summary{
 			Jobs: int(word(0)), Completed: int(word(1)), Failed: int(word(2)), Skipped: int(word(3)),
 			Cycles: word(4), Retired: word(5), MeanIPC: math.Float64frombits(word(6)),
@@ -669,8 +705,10 @@ func (s *Server) admit(grid campaign.Grid, key string, cells int, trace string, 
 	}
 	if hit != nil {
 		s.countLookup(true)
-		j := newJob(s.nextIDLocked(), key, grid, cells, trace)
-		j.completeFromCache(hit.results, hit.summary)
+		// The hit's spec is the entry's, decoded only if a typed reader
+		// asks (gridLocked), whether or not the request's was parsed.
+		j := newJob(s.nextIDLocked(), key, campaign.Grid{}, cells, trace)
+		j.completeFromCache(hit)
 		s.registerJobLocked(j)
 		return j, "hit", nil
 	}
@@ -705,7 +743,10 @@ func (s *Server) countLookup(hit bool) {
 
 func (s *Server) nextIDLocked() string {
 	s.nextID++
-	return fmt.Sprintf("j-%06d", s.nextID)
+	var num, id [24]byte
+	dec := strconv.AppendUint(num[:0], s.nextID, 10)
+	b := append(append(id[:0], "j-"...), "000000"[min(len(dec), 6):]...) // at least six digits
+	return string(append(b, dec...))
 }
 
 // registerJobLocked records a job and bounds the retained records:

@@ -111,18 +111,21 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, opened)
 }
 
-// chunkPool recycles ingest request bodies. A backend only borrows a
-// chunk for the length of its Ingest call: the table decodes it onto
-// the session's queue, and the router forwards and journals a copy.
-var chunkPool = sync.Pool{New: func() any { return new([]byte) }}
+// bodyPool recycles request and response bodies: session ingest
+// chunks, job specs and the head of a job hit's response. A handler
+// only borrows one for its own length: a session backend's Ingest call
+// decodes the chunk onto the session's queue, or forwards and journals
+// a copy, a job submission keeps only what it decoded from the spec and
+// the spec's digest, and a written response has been copied out.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // handleSessionEvents is POST /v1/sessions/{id}/events: chunked ingest.
 // 202 acknowledges the chunk (events decoded and queued — they are never
 // dropped after this); 429 + Retry-After rejects it whole, with decoder
 // state rolled back so retrying the identical bytes is lossless.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	buf := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(buf)
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
 	body, ok := readBodyInto(*buf, w, r, session.MaxChunk, "reading events")
 	*buf = body
 	if !ok {
