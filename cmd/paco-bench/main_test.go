@@ -8,9 +8,6 @@ import (
 	"testing"
 )
 
-// committed is the repository's kernel baseline, the report CI gates on.
-const committed = "../../BENCH_kernel.json"
-
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed alongside its error.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
@@ -32,47 +29,6 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	out := <-done
 	r.Close()
 	return string(out), runErr
-}
-
-func TestCompareBaselineAgainstItself(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return runCompare([]string{"-baseline", committed, "-new", committed})
-	})
-	if err != nil {
-		t.Fatalf("self-compare failed: %v\n%s", err, out)
-	}
-	if strings.Contains(out, "REGRESSED") {
-		t.Fatalf("self-compare reported a regression:\n%s", out)
-	}
-}
-
-func TestCompareInjectedSlowdownRegresses(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return runCompare([]string{"-baseline", committed, "-slowdown", "0.5", "-tolerance", "0.15"})
-	})
-	if err == nil {
-		t.Fatalf("a 2x slowdown passed the gate:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESSED") {
-		t.Fatalf("gate output names no regression:\n%s", out)
-	}
-}
-
-func TestCompareRejectsNewWithSlowdown(t *testing.T) {
-	err := runCompare([]string{"-baseline", committed, "-new", committed, "-slowdown", "0.5"})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-new with -slowdown: err = %v", err)
-	}
-}
-
-func TestMissingBaselineFile(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
-	if err := runCompare([]string{"-baseline", missing}); !os.IsNotExist(err) {
-		t.Fatalf("compare with missing baseline: err = %v", err)
-	}
-	if err := run([]string{"-baseline", missing}); !os.IsNotExist(err) {
-		t.Fatalf("measure with missing baseline: err = %v", err)
-	}
 }
 
 // TestBadBatchRejectedBeforeMeasuring: an invalid -batch width fails

@@ -1,7 +1,7 @@
 // Package perf is the kernel throughput harness: it measures how fast the
 // simulator simulates — simulated kcycles per wall second, heap
 // allocations per cycle, and the per-stage cost breakdown — and records
-// the numbers as a JSON baseline (BENCH_kernel.json) so kernel speed is a
+// the numbers as a JSON report (BENCH_kernel.json) so kernel speed is a
 // continuously measured quantity with a trajectory, not a guess. Every
 // accuracy experiment runs dozens of cycle-accurate simulations per
 // figure; single-core kernel throughput is the floor under all of them.
@@ -23,12 +23,8 @@ import (
 )
 
 // Schema identifies the report format. v2 added the batched lockstep
-// rows (batch_k, speedup_batch) and the honest gomaxprocs field; v1
-// reports remain readable as baselines.
-const (
-	Schema   = "paco-bench/v2"
-	schemaV1 = "paco-bench/v1"
-)
+// rows (batch_k, speedup_batch) and the honest gomaxprocs field.
+const Schema = "paco-bench/v2"
 
 // Options configures one kernel measurement.
 type Options struct {
@@ -112,17 +108,12 @@ type Report struct {
 	NumCPU     int            `json:"num_cpu"`
 	GOMAXPROCS int            `json:"gomaxprocs,omitempty"`
 	Results    []KernelResult `json:"results"`
-	// Baseline, when present, is the report this run is compared
-	// against (typically the committed pre-refactor numbers).
-	Baseline *Report `json:"baseline,omitempty"`
-	// SpeedupKCycles is the geometric-mean kcycles/sec ratio of Results
-	// over Baseline.Results for configurations present in both. Zero
-	// when no baseline is attached.
-	SpeedupKCycles float64 `json:"speedup_kcycles,omitempty"`
 	// SpeedupBatch is the geometric-mean aggregate-throughput ratio of
 	// batched rows (BatchK > 1) over their same-benchmark BatchK = 1 row
-	// — the lane-scaling headline. Zero when the report has no batched
-	// rows or no singleton-batch baseline.
+	// — the lane-scaling headline, and the ratio CI gates on because
+	// both sides come from one process on one host. Zero, and so
+	// omitted, when the report has no batched rows or no singleton-batch
+	// baseline.
 	SpeedupBatch float64 `json:"speedup_batch,omitempty"`
 }
 
@@ -423,44 +414,9 @@ func (r *Report) computeBatchSpeedup() {
 	}
 }
 
-// AttachBaseline links a prior report and computes the geometric-mean
-// kcycles/sec speedup over configurations present in both reports.
-func (r *Report) AttachBaseline(base *Report) {
-	r.Baseline = base
-	r.SpeedupKCycles = 0
-	byName := make(map[string]KernelResult, len(base.Results))
-	for _, b := range base.Results {
-		byName[b.Name] = b
-	}
-	logSum, n := 0.0, 0
-	for _, cur := range r.Results {
-		b, ok := byName[cur.Name]
-		if !ok || b.KCyclesPerSec <= 0 || cur.KCyclesPerSec <= 0 {
-			continue
-		}
-		logSum += math.Log(cur.KCyclesPerSec / b.KCyclesPerSec)
-		n++
-	}
-	if n > 0 {
-		r.SpeedupKCycles = math.Exp(logSum / float64(n))
-	}
-}
-
 // WriteJSON renders the report with stable indentation.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadReport parses a report written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	if r.Schema != Schema && r.Schema != schemaV1 {
-		return nil, fmt.Errorf("perf: unknown schema %q (want %q or %q)", r.Schema, Schema, schemaV1)
-	}
-	return &r, nil
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -39,58 +40,96 @@ func TestMeasureKernel(t *testing.T) {
 }
 
 func TestReportRoundTripAndSpeedup(t *testing.T) {
-	rep, err := MeasureAll([]string{"gzip"}, false, quickOpts())
+	opts := quickOpts()
+	opts.BatchKs = []int{1, 2}
+	rep, err := MeasureAll([]string{"gzip"}, false, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &Report{
-		Schema: Schema,
-		Results: []KernelResult{
-			{Name: "gzip", KCyclesPerSec: rep.Results[0].KCyclesPerSec / 2},
-			{Name: "absent", KCyclesPerSec: 1},
-		},
-	}
-	rep.AttachBaseline(base)
-	if math.Abs(rep.SpeedupKCycles-2) > 1e-9 {
-		t.Fatalf("speedup = %.4f, want 2", rep.SpeedupKCycles)
-	}
-
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(&buf)
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.SpeedupKCycles != rep.SpeedupKCycles || len(back.Results) != len(rep.Results) {
+	if back.Schema != Schema || back.SpeedupBatch != rep.SpeedupBatch || len(back.Results) != len(rep.Results) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, rep)
-	}
-	if back.Baseline == nil || len(back.Baseline.Results) != 2 {
-		t.Fatalf("baseline lost in round trip")
 	}
 }
 
-func TestReadReportRejectsUnknownSchema(t *testing.T) {
-	if _, err := ReadReport(bytes.NewReader([]byte(`{"schema":"bogus/v9"}`))); err == nil {
-		t.Fatal("unknown schema accepted")
+// TestSpeedupBatchSeesOnlyBatchedSlowdown pins the property CI's kernel
+// perf gate relies on: speedup_batch is a ratio of two rows measured in
+// one process, so a slowdown that hits every row (a slower host) leaves
+// it unchanged, while one that hits only the batched rows moves it.
+func TestSpeedupBatchSeesOnlyBatchedSlowdown(t *testing.T) {
+	rows := func() []KernelResult {
+		return []KernelResult{
+			{Name: "gzip", KCyclesPerSec: 900},
+			{Name: "gzip/batch=1", BatchK: 1, KCyclesPerSec: 1000},
+			{Name: "gzip/batch=8", BatchK: 8, KCyclesPerSec: 1800},
+			{Name: "mcf/batch=1", BatchK: 1, KCyclesPerSec: 400},
+			{Name: "mcf/batch=8", BatchK: 8, KCyclesPerSec: 800},
+		}
+	}
+	speedup := func(rs []KernelResult) float64 {
+		r := &Report{Schema: Schema, Results: rs}
+		r.computeBatchSpeedup()
+		return r.SpeedupBatch
+	}
+	base := speedup(rows())
+	if want := math.Sqrt(1.8 * 2); math.Abs(base-want) > 1e-12 {
+		t.Fatalf("speedup_batch = %v, want %v", base, want)
+	}
+
+	host := rows()
+	for i := range host {
+		host[i].KCyclesPerSec *= 0.37
+	}
+	if got := speedup(host); math.Abs(got-base) > 1e-12 {
+		t.Fatalf("uniform slowdown moved speedup_batch: %v -> %v", base, got)
+	}
+
+	batched := rows()
+	for i := range batched {
+		if batched[i].BatchK > 1 {
+			batched[i].KCyclesPerSec *= 0.5
+		}
+	}
+	if got := speedup(batched); math.Abs(got-base/2) > 1e-12 {
+		t.Fatalf("batched-only 2x slowdown: speedup_batch %v -> %v, want %v", base, got, base/2)
+	}
+
+	// Without a batch=1 row there is no ratio: the field is zero and
+	// omitted, so a gate that reads it fails closed.
+	var noBase []KernelResult
+	for _, r := range rows() {
+		if r.BatchK != 1 {
+			noBase = append(noBase, r)
+		}
+	}
+	r := &Report{Schema: Schema, Results: noBase}
+	r.computeBatchSpeedup()
+	if r.SpeedupBatch != 0 {
+		t.Fatalf("speedup_batch without a batch=1 row = %v, want 0", r.SpeedupBatch)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["speedup_batch"]; ok {
+		t.Fatalf("speedup_batch written without a batch=1 row:\n%s", buf.String())
 	}
 }
 
 func TestMeasureKernelUnknownBenchmark(t *testing.T) {
 	if _, err := MeasureKernel("not-a-benchmark", quickOpts()); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestReadReportAcceptsV1(t *testing.T) {
-	raw := []byte(`{"schema":"paco-bench/v1","results":[{"name":"gzip","kcycles_per_sec":100}]}`)
-	r, err := ReadReport(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 report rejected: %v", err)
-	}
-	if len(r.Results) != 1 || r.Results[0].BatchK != 0 {
-		t.Fatalf("v1 report misparsed: %+v", r)
 	}
 }
 
