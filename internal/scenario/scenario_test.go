@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"paco/internal/workload"
@@ -73,6 +74,49 @@ func TestFamiliesCompile(t *testing.T) {
 		}
 		if w.KindCount(workload.KindBranch) == 0 {
 			t.Fatalf("%s: no conditional branches", f.Name)
+		}
+	}
+}
+
+// TestProgramSizeBounds checks workload.Spec.Validate's size bounds
+// against what scenarios can ask for: every family at the edges of its
+// declared ranges and a fuzzed corpus compile, and an override past the
+// bounds is refused by name.
+func TestProgramSizeBounds(t *testing.T) {
+	for _, f := range Families() {
+		for _, edge := range []string{"min", "max"} {
+			params := map[string]float64{}
+			for _, p := range f.Params {
+				params[p.Name] = p.Min
+				if edge == "max" {
+					params[p.Name] = p.Max
+				}
+			}
+			if _, err := (Scenario{Family: f.Name, Params: params}).Compile(); err != nil {
+				t.Errorf("%s at its %s params: %v", f.Name, edge, err)
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		scs, err := FuzzSpec{Seed: seed, Count: 64}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scs {
+			if _, err := sc.Compile(); err != nil {
+				t.Errorf("fuzzed %s: %v", sc.Name, err)
+			}
+		}
+	}
+	huge := 1 << 20
+	for field, o := range map[string]*OverrideOp{
+		"BlocksPerPhase":  {BlocksPerPhase: &huge},
+		"AvgBlockLen":     {AvgBlockLen: &huge},
+		"IndirectTargets": {IndirectTargets: &huge},
+	} {
+		_, err := Scenario{Family: "loopy", Ops: []Op{{Override: o}}}.Compile()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("loopy with %s=%d: got %v, want an error naming %s", field, huge, err, field)
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"paco/internal/campaign"
@@ -54,6 +56,30 @@ func TestScenarioJobCacheHit(t *testing.T) {
 	}
 	if got := s.SimulationsRun(); got != 1 {
 		t.Fatalf("simulations after hits = %d, want still 1", got)
+	}
+}
+
+// TestOversizedScenarioRejected: a scenario whose override asks for a
+// program past workload.Spec.Validate's size bounds is refused at
+// admission with a 400 naming the field. No job is minted and nothing is
+// built or simulated.
+func TestOversizedScenarioRejected(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	body := `{"scenarios":[{"family":"loopy","ops":[{"override":{"blocks_per_phase":1048576}}]}],"instructions":12000,"warmup":4000}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("BlocksPerPhase")) {
+		t.Fatalf("POST oversized loopy = %d %q, want 400 naming BlocksPerPhase", resp.StatusCode, msg)
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 || s.SimulationsRun() != 0 {
+		t.Fatalf("rejected POST left %d jobs and %d simulations, want none", jobs, s.SimulationsRun())
 	}
 }
 

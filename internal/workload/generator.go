@@ -64,10 +64,10 @@ type globalCtx struct {
 	history uint32 // recent actual outcomes, bit 0 = most recent
 
 	stormActive bool
-	stormEnter  float64 // probability per branch of entering a storm
-	stormExit   float64 // probability per branch of leaving a storm
-	stormFlip   float64 // probability a storm flips this outcome
-	stormRNG    *rng.RNG
+	stormEnter  rng.Threshold // probability per branch of entering a storm
+	stormExit   rng.Threshold // probability per branch of leaving a storm
+	stormFlip   rng.Threshold // probability a storm flips this outcome
+	stormRNG    rng.RNG
 }
 
 func (g *globalCtx) push(taken bool) {
@@ -81,110 +81,65 @@ func (g *globalCtx) push(taken bool) {
 // start and stop at random, and while active they randomly flip branch
 // outcomes, producing globally clustered mispredicts that violate PaCo's
 // independence assumption exactly the way the paper describes.
+//
+// With StormEnter 0 a storm never starts, and Below decides a zero
+// probability without a draw, so the stream is untouched.
 func (g *globalCtx) maybeStormFlip(taken bool) bool {
-	if g.stormRNG == nil || (g.stormEnter <= 0 && !g.stormActive) {
-		return taken
-	}
 	if g.stormActive {
-		if g.stormRNG.Bool(g.stormExit) {
+		if g.stormRNG.Below(g.stormExit) {
 			g.stormActive = false
 		}
-	} else if g.stormRNG.Bool(g.stormEnter) {
+	} else if g.stormRNG.Below(g.stormEnter) {
 		g.stormActive = true
 	}
-	if g.stormActive && g.stormRNG.Bool(g.stormFlip) {
+	if g.stormActive && g.stormRNG.Below(g.stormFlip) {
 		return !taken
 	}
 	return taken
 }
 
-// outcomeGen produces the actual direction sequence of one static branch.
-type outcomeGen interface {
-	next(g *globalCtx, r *rng.RNG) bool
-	class() BranchClass
-}
-
-type biasedGen struct{ pTaken float64 }
-
-func (b *biasedGen) next(_ *globalCtx, r *rng.RNG) bool { return r.Bool(b.pTaken) }
-func (b *biasedGen) class() BranchClass                 { return ClassBiased }
-
-// loopGen models a data-dependent loop backedge: taken until exit, with a
-// geometric (memoryless) exit hazard of 1/trip per iteration. Real loop
-// trip counts are mostly data-dependent at this granularity; a fixed
-// deterministic trip would make windows between exits certainly safe,
-// which no fetch-time predictor can know, and would break the
-// independence assumption far more than SPEC-like code does.
-type loopGen struct {
-	trip int // mean iterations per loop instance
-}
-
-func (l *loopGen) next(_ *globalCtx, r *rng.RNG) bool {
-	return !r.Bool(1 / float64(l.trip))
-}
-func (l *loopGen) class() BranchClass { return ClassLoop }
-
-type patternGen struct {
-	pattern uint64
-	length  int
-	pos     int
-}
-
-func (p *patternGen) next(*globalCtx, *rng.RNG) bool {
-	taken := p.pattern>>uint(p.pos)&1 == 1
-	p.pos = (p.pos + 1) % p.length
-	return taken
-}
-func (p *patternGen) class() BranchClass { return ClassPattern }
-
-type correlatedGen struct {
-	maskBits uint32 // which history bits feed the XOR
-	invert   bool
-	cls      BranchClass
-}
-
-func (c *correlatedGen) next(g *globalCtx, _ *rng.RNG) bool {
-	x := g.history & c.maskBits
-	taken := bits.OnesCount32(x)&1 == 1
-	if c.invert {
-		taken = !taken
-	}
-	return taken
-}
-func (c *correlatedGen) class() BranchClass { return c.cls }
-
-type noisyGen struct {
-	inner outcomeGen
-	eps   float64
-}
-
-func (n *noisyGen) next(g *globalCtx, r *rng.RNG) bool {
-	taken := n.inner.next(g, r)
-	if r.Bool(n.eps) {
-		return !taken
-	}
-	return taken
-}
-func (n *noisyGen) class() BranchClass { return ClassNoisy }
-
-type randomGen struct{ pTaken float64 }
-
-func (rg *randomGen) next(_ *globalCtx, r *rng.RNG) bool { return r.Bool(rg.pTaken) }
-func (rg *randomGen) class() BranchClass                 { return ClassRandom }
-
-// staticBranch is one static conditional branch: an outcome generator plus
-// its private RNG stream so behaviour is independent of CFG interleaving.
+// staticBranch is one static conditional branch: its outcome generator, a
+// tagged union of the class parameters, plus its private RNG stream so
+// behaviour is independent of CFG interleaving. It holds no pointers, so
+// a program keeps every branch by value in one slab.
+//
+//   - ClassBiased, ClassRandom: taken with probability p.
+//   - ClassLoop: a data-dependent loop backedge, taken until exit, with a
+//     geometric (memoryless) exit hazard p = 1/trip per iteration. Real
+//     loop trip counts are mostly data-dependent at this granularity; a
+//     fixed deterministic trip would make windows between exits certainly
+//     safe, which no fetch-time predictor can know, and would break the
+//     independence assumption far more than SPEC-like code does.
+//   - ClassPattern, ClassCorrelated: the parity of the global history
+//     bits in mask, inverted if invert.
+//   - ClassNoisy: taken with probability p, then flipped with
+//     probability eps.
 type staticBranch struct {
-	id  int
-	gen outcomeGen
-	rng *rng.RNG
+	rng rng.RNG
 	// outcome counters for diagnostics
 	executed uint64
 	taken    uint64
+	p, eps   rng.Threshold
+	mask     uint32
+	class    BranchClass
+	invert   bool
 }
 
 func (sb *staticBranch) next(g *globalCtx) bool {
-	t := sb.gen.next(g, sb.rng)
+	var t bool
+	switch sb.class {
+	case ClassLoop:
+		t = !sb.rng.Below(sb.p)
+	case ClassPattern, ClassCorrelated:
+		t = (bits.OnesCount32(g.history&sb.mask)&1 == 1) != sb.invert
+	case ClassNoisy:
+		t = sb.rng.Below(sb.p)
+		if sb.rng.Below(sb.eps) {
+			t = !t
+		}
+	default: // ClassBiased, ClassRandom
+		t = sb.rng.Below(sb.p)
+	}
 	t = g.maybeStormFlip(t)
 	g.push(t)
 	sb.executed++
@@ -218,20 +173,27 @@ func (m BranchMix) weights() []float64 {
 	return []float64{m.Biased, m.Loop, m.Pattern, m.Correlated, m.Noisy, m.Random}
 }
 
-// makeBranch samples one static branch from the mix.
-func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *staticBranch {
-	cls := BranchClass(choice.Sample(r))
-	var gen outcomeGen
+// half is a fair coin, prepared once.
+var half = rng.NewThreshold(0.5)
+
+// fork seeds dst exactly as r.Fork() seeds the generator it returns,
+// without allocating one.
+func fork(dst, r *rng.RNG) { dst.Seed(r.Uint64(), r.Uint64()) }
+
+// newBranch samples one static branch of class cls from the mix: its
+// parameters, then its private RNG stream.
+func (m *BranchMix) newBranch(cls BranchClass, r *rng.RNG) staticBranch {
+	sb := staticBranch{class: cls}
 	switch cls {
 	case ClassBiased:
 		p := m.BiasedP
 		if p <= 0 {
 			p = 0.98
 		}
-		if r.Bool(0.5) {
+		if r.Below(half) {
 			p = 1 - p
 		}
-		gen = &biasedGen{pTaken: p}
+		sb.p = rng.NewThreshold(p)
 	case ClassLoop:
 		lo, hi := m.LoopTripMin, m.LoopTripMax
 		if lo <= 1 {
@@ -240,24 +202,22 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 		if hi < lo {
 			hi = lo
 		}
-		gen = &loopGen{trip: r.Range(lo, hi)}
+		sb.p = rng.NewThreshold(1 / float64(r.Range(lo, hi)))
 	case ClassPattern:
 		// A deterministic function of 3 recent global outcomes: learnable
 		// by the gshare component (slightly slower to warm than
 		// ClassCorrelated's 2-bit function). A fixed repeating local
 		// pattern would be invisible to a global-history predictor.
-		mask := uint32(0)
-		for bits.OnesCount32(mask) < 3 {
-			mask |= 1 << uint(r.Intn(7))
+		for bits.OnesCount32(sb.mask) < 3 {
+			sb.mask |= 1 << uint(r.Intn(7))
 		}
-		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassPattern}
+		sb.invert = r.Below(half)
 	case ClassCorrelated:
 		// Use 2-3 bits of recent history within gshare's reach.
-		mask := uint32(0)
-		for bits.OnesCount32(mask) < 2 {
-			mask |= 1 << uint(r.Intn(6))
+		for bits.OnesCount32(sb.mask) < 2 {
+			sb.mask |= 1 << uint(r.Intn(6))
 		}
-		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassCorrelated}
+		sb.invert = r.Below(half)
 	case ClassNoisy:
 		// A strongly biased branch flipped with probability epsilon: the
 		// predictor learns the bias, leaving a mispredict rate of ~eps.
@@ -266,18 +226,19 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 			eps = 0.10
 		}
 		p := 0.97
-		if r.Bool(0.5) {
+		if r.Below(half) {
 			p = 1 - p
 		}
-		gen = &noisyGen{inner: &biasedGen{pTaken: p}, eps: eps}
+		sb.p, sb.eps = rng.NewThreshold(p), rng.NewThreshold(eps)
 	case ClassRandom:
 		p := m.RandomP
 		if p <= 0 {
 			p = 0.5
 		}
-		gen = &randomGen{pTaken: p}
+		sb.p = rng.NewThreshold(p)
 	default:
 		panic("workload: unknown branch class")
 	}
-	return &staticBranch{id: id, gen: gen, rng: r.Fork()}
+	fork(&sb.rng, r)
+	return sb
 }

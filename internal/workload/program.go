@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"paco/internal/rng"
 )
@@ -108,15 +109,19 @@ func (s *Spec) Validate() error {
 	if s.BlocksPerPhase <= 0 {
 		return fmt.Errorf("workload %s: BlocksPerPhase must be positive", s.Name)
 	}
-	if s.AvgBlockLen <= 0 {
-		return fmt.Errorf("workload %s: AvgBlockLen must be positive", s.Name)
+	if s.BlocksPerPhase > maxProgramBlocks/len(s.Phases) {
+		return fmt.Errorf("workload %s: BlocksPerPhase=%d × %d phases exceeds %d", s.Name, s.BlocksPerPhase, len(s.Phases), maxProgramBlocks)
+	}
+	if s.AvgBlockLen <= 0 || s.AvgBlockLen > maxAvgBlockLen {
+		return fmt.Errorf("workload %s: AvgBlockLen=%d outside [1, %d]", s.Name, s.AvgBlockLen, maxAvgBlockLen)
 	}
 	if s.WorkingSetKB <= 0 {
 		return fmt.Errorf("workload %s: WorkingSetKB must be positive", s.Name)
 	}
-	// Probability-valued knobs must be probabilities: out-of-range values
-	// would not crash (the samplers clamp), they would silently build a
-	// degenerate workload — and scenario overrides feed this field-by-field.
+	// Probability-valued knobs must be probabilities: out-of-range or NaN
+	// values would not crash (the samplers clamp), they would silently
+	// build a degenerate workload — and scenario overrides feed this
+	// field-by-field.
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -128,35 +133,54 @@ func (s *Spec) Validate() error {
 		{"IndirectFrac", s.IndirectFrac}, {"StormEnter", s.StormEnter},
 		{"StormExit", s.StormExit}, {"StormFlip", s.StormFlip},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) {
 			return fmt.Errorf("workload %s: %s=%g outside [0, 1]", s.Name, f.name, f.v)
 		}
 	}
-	if s.IndirectTargets < 0 {
-		return fmt.Errorf("workload %s: IndirectTargets must be non-negative, got %d", s.Name, s.IndirectTargets)
+	if s.IndirectTargets < 0 || s.IndirectTargets > maxIndirectTargets {
+		return fmt.Errorf("workload %s: IndirectTargets=%d outside [0, %d]", s.Name, s.IndirectTargets, maxIndirectTargets)
+	}
+	if n := programBytes(s); n > maxProgramBytes {
+		return fmt.Errorf("workload %s: program of about %d MiB exceeds %d MiB (BlocksPerPhase, AvgBlockLen, IndirectFrac and IndirectTargets set its size)",
+			s.Name, n>>20, maxProgramBytes>>20)
 	}
 	return nil
 }
+
+// Bounds on how large a program a spec may ask for. They sit well above
+// every bundled benchmark and scenario family — the largest, server, has
+// 8 phases of at most 8,000 blocks (about 14 MiB of program), and
+// interpreter dispatches among at most 64 targets — so they only refuse
+// a document that would make a worker build a program of over 128 MiB.
+// They also keep every program index within an int32.
+const (
+	maxProgramBlocks   = 1 << 19 // BlocksPerPhase × len(Phases)
+	maxAvgBlockLen     = 1024
+	maxIndirectTargets = 4096
+	maxProgramBytes    = 128 << 20
+)
 
 // kindFallthrough marks a block with no terminator instruction: execution
 // flows directly into fallBlk (used to stitch structured segments).
 const kindFallthrough Kind = 0xFF
 
-// terminator kinds mirror Kind but carry CFG data.
+// terminator is a block's control transfer. Block indices are
+// program-wide.
 type terminator struct {
 	kind     Kind
-	branch   *staticBranch // conditional only
-	takenBlk int           // conditional taken target / jump / call target
-	fallBlk  int           // conditional fall-through, call return site, fallthrough next
-	indirect []int         // indirect targets
+	takenBlk int32 // conditional taken target / jump / call target / first indirect target
+	fallBlk  int32 // conditional fall-through, call return site, fallthrough next
+	aux      int32 // conditional: index into program.branches; indirect: target count
 }
 
 // memPattern drives one static memory instruction's address stream.
+// Strided patterns wrap within [base, base+span); span is at most
+// 64·255 bytes, so the narrow fields hold it.
 type memPattern struct {
 	base   uint64
-	stride uint64
-	span   uint64 // wraps within [base, base+span)
-	off    uint64
+	span   uint16
+	off    uint16
+	stride uint8
 	random bool
 }
 
@@ -164,17 +188,15 @@ func (m *memPattern) next(r *rng.RNG, wsMask uint64) uint64 {
 	if m.random {
 		return m.base + (r.Uint64() & wsMask)
 	}
-	a := m.base + m.off
-	m.off += m.stride
+	a := m.base + uint64(m.off)
+	m.off += uint16(m.stride)
 	if m.off >= m.span {
 		m.off = 0
 	}
 	return a
 }
 
-// staticInstr is one non-terminator instruction slot in a block. It is 8
-// bytes and holds no pointers, so the GC never scans a program's
-// instruction arena.
+// staticInstr is one non-terminator instruction slot in a block.
 type staticInstr struct {
 	mem     uint32 // 1-based index into program.mems; 0: not a memory op
 	kind    Kind
@@ -182,11 +204,12 @@ type staticInstr struct {
 	hasDep2 bool
 }
 
-// block is one basic block of the synthetic program.
+// block is one basic block of the synthetic program: its instructions
+// are program.instrs[first:first+n], followed by the terminator's.
 type block struct {
-	pc     uint64
-	instrs []staticInstr
-	term   terminator
+	pc       uint64
+	first, n int32
+	term     terminator
 }
 
 const instrBytes = 4
@@ -203,47 +226,54 @@ const dataBase = 1 << 32
 // executions with a trip-count exit, which is what the JRS miss distance
 // counters key on.
 //
-// A program is a few flat arrays: each region's blocks, an arena of
-// pointer-free static instructions the blocks' instrs are carved from, and
-// one table of every static load/store's address pattern.
+// A program is five flat slabs of pointer-free values, each made at the
+// size programSize estimates: every region's blocks, the static
+// instructions the blocks index, the static branches the terminators
+// index, every static load/store's address pattern, and each region's
+// driver entry. A build makes a handful of allocations, not one per block
+// or branch, and the GC never scans a program's contents.
 type program struct {
-	regions  [][]block
-	entries  []int // driver entry block per region
-	branches []*staticBranch
+	blocks   []block
+	instrs   []staticInstr
+	branches []staticBranch
 	mems     []memPattern
+	entries  []int32 // driver entry block per region
 }
 
 // builder assembles a program region by region.
 type builder struct {
+	program
 	spec   *Spec
 	mix    *BranchMix
 	choice *rng.WeightedChoice // diamond-class sampler (loop excluded)
 	r      *rng.RNG
-	blocks []block       // the region being built
-	arena  []staticInstr // unused tail of the current instruction chunk
-	prog   *program
-	nextID int
-	ws     uint64
+	wsMask uint64
+	// Bernoulli draws of the build, prepared once.
+	blockLen, longLat, randomAddr rng.Threshold
 }
 
-// instrChunk is the instruction arena's allocation unit: 32 KiB of
-// staticInstrs, enough for several hundred blocks.
-const instrChunk = 4096
+// dep2 is the probability that a static instruction has a second source
+// operand, prepared once.
+var dep2 = rng.NewThreshold(0.4)
 
 // build constructs the program for spec.
-func build(spec *Spec, r *rng.RNG) *program {
-	regionBlocks := make([]int, len(spec.Phases))
-	memOps := 0.0
-	for phIdx := range spec.Phases {
-		regionBlocks[phIdx] = expectedBlocks(spec, &spec.Phases[phIdx].Mix)
-		memOps += float64(regionBlocks[phIdx]*spec.AvgBlockLen) * (spec.LoadFrac + spec.StoreFrac)
+func build(spec *Spec, r *rng.RNG) program {
+	blocks, instrs, branches, mems := programSize(spec)
+	b := &builder{
+		program: program{
+			blocks:   make([]block, 0, blocks),
+			instrs:   make([]staticInstr, 0, instrs),
+			branches: make([]staticBranch, 0, branches),
+			mems:     make([]memPattern, 0, mems),
+			entries:  make([]int32, 0, len(spec.Phases)),
+		},
+		spec:       spec,
+		r:          r,
+		wsMask:     nextPow2u(uint64(spec.WorkingSetKB)*1024) - 1,
+		blockLen:   rng.NewThreshold(1 / float64(spec.AvgBlockLen)),
+		longLat:    rng.NewThreshold(spec.LongLatFrac),
+		randomAddr: rng.NewThreshold(spec.RandomAddrFrac),
 	}
-	p := &program{
-		regions: make([][]block, 0, len(spec.Phases)),
-		entries: make([]int, 0, len(spec.Phases)),
-		mems:    make([]memPattern, 0, int(memOps)),
-	}
-	b := &builder{spec: spec, r: r, prog: p, ws: uint64(spec.WorkingSetKB) * 1024}
 	for phIdx := range spec.Phases {
 		ph := &spec.Phases[phIdx]
 		// Diamond branches sample from the non-loop classes.
@@ -251,12 +281,9 @@ func build(spec *Spec, r *rng.RNG) *program {
 		w[ClassLoop] = 0
 		b.mix = &ph.Mix
 		b.choice = rng.NewWeightedChoice(w)
-		b.blocks = make([]block, 0, regionBlocks[phIdx])
-		entry := b.buildRegion(phIdx)
-		p.regions = append(p.regions, b.blocks)
-		p.entries = append(p.entries, entry)
+		b.entries = append(b.entries, b.buildRegion(phIdx))
 	}
-	return p
+	return b.program
 }
 
 // segment kinds.
@@ -275,37 +302,53 @@ func regionFuncs(spec *Spec) (funcs, leaves int) {
 	return funcs, funcs * 3 / 5
 }
 
-// expectedBlocks is the mean block count of a region built for mix, with
-// an eighth of headroom: the driver's call blocks, plus per function a
+// programSize is the mean size of spec's program, with an eighth of
+// headroom: its blocks, static instructions, static branches and memory
+// patterns. A region has the driver's call blocks, plus per function a
 // return block and six segments (the mean of Range(3, 9)), each kind of
-// segment weighted by how often segmentKind picks it. It only sizes
-// allocations; the build never depends on it.
-func expectedBlocks(spec *Spec, mix *BranchMix) int {
+// segment weighted by how often segmentKind picks it; loop and diamond
+// segments hold one branch each. It sizes the build's slabs and bounds
+// Validate; the build never depends on it.
+func programSize(spec *Spec) (blocks, instrs, branches, mems int) {
 	funcs, leaves := regionFuncs(spec)
 	stubs := float64(max(spec.IndirectTargets, 2))
-	perSegment := func(leaf bool) float64 {
+	var nBlocks, nBranches float64
+	addFuncs := func(mix *BranchMix, n int, leaf bool) {
 		loop, diamond, call, ind, plain := segmentWeights(spec, mix, leaf)
-		blocks := 5*loop + 3*diamond + call + (1+stubs)*ind + plain
-		return blocks / (loop + diamond + call + ind + plain)
+		total := loop + diamond + call + ind + plain
+		nBlocks += float64(n) * (1 + 6*(5*loop+3*diamond+call+(1+stubs)*ind+plain)/total)
+		nBranches += float64(n) * 6 * (loop + diamond) / total
 	}
-	n := float64(2*funcs+1) +
-		float64(leaves)*(1+6*perSegment(true)) +
-		float64(funcs-leaves)*(1+6*perSegment(false))
-	return int(n * 9 / 8)
+	for i := range spec.Phases {
+		nBlocks += float64(2*funcs + 1)
+		addFuncs(&spec.Phases[i].Mix, leaves, true)
+		addFuncs(&spec.Phases[i].Mix, funcs-leaves, false)
+	}
+	blocks = int(nBlocks * 9 / 8)
+	instrs = blocks * spec.AvgBlockLen
+	return blocks, instrs, int(nBranches * 9 / 8), int(float64(instrs) * (spec.LoadFrac + spec.StoreFrac))
+}
+
+// programBytes is the expected size of spec's program slabs.
+func programBytes(spec *Spec) int {
+	blocks, instrs, branches, mems := programSize(spec)
+	return blocks*int(unsafe.Sizeof(block{})) + instrs*int(unsafe.Sizeof(staticInstr{})) +
+		branches*int(unsafe.Sizeof(staticBranch{})) + mems*int(unsafe.Sizeof(memPattern{}))
 }
 
 // buildRegion lays out one phase region and returns its driver entry block.
-func (b *builder) buildRegion(phIdx int) int {
+func (b *builder) buildRegion(phIdx int) int32 {
+	start := len(b.blocks)
 	funcCount, leafCount := regionFuncs(b.spec)
-	entries := make([]int, funcCount)
+	entries := make([]int32, funcCount)
 	// Leaves first so call segments have callees.
 	for f := 0; f < funcCount; f++ {
 		entries[f] = b.buildFunction(f < leafCount, entries[:min(f, leafCount)])
 	}
 	// Driver: a long unrolled loop of calls covering every function, then
 	// a jump back to the top.
-	driverEntry := len(b.blocks)
-	order := make([]int, 0, funcCount*2)
+	driverEntry := int32(len(b.blocks))
+	order := make([]int32, 0, funcCount*2)
 	order = append(order, entries...)
 	for i := 0; i < funcCount; i++ {
 		order = append(order, entries[b.r.Intn(funcCount)])
@@ -321,13 +364,13 @@ func (b *builder) buildRegion(phIdx int) int {
 	}
 	last := b.newBlock(1)
 	b.blocks[last].term = terminator{kind: KindJump, takenBlk: driverEntry}
-	b.assignPCs(phIdx)
+	b.assignPCs(phIdx, b.blocks[start:])
 	return driverEntry
 }
 
 // buildFunction appends one function's blocks and returns its entry index.
-func (b *builder) buildFunction(leaf bool, callees []int) int {
-	entry := len(b.blocks)
+func (b *builder) buildFunction(leaf bool, callees []int32) int32 {
+	entry := int32(len(b.blocks))
 	segs := b.r.Range(3, 9)
 	for s := 0; s < segs; s++ {
 		kind := b.segmentKind(leaf || len(callees) == 0)
@@ -346,15 +389,15 @@ func (b *builder) buildFunction(leaf bool, callees []int) int {
 				b.blocks[idx].term = terminator{kind: kindFallthrough, fallBlk: idx + 1}
 			}
 			last := b.newBlock(0)
-			sb := b.makeLoopBranch()
+			sb := b.newBranch(ClassLoop)
 			b.blocks[header].term = terminator{kind: kindFallthrough, fallBlk: header + 1}
-			b.blocks[last].term = terminator{kind: KindBranch, branch: sb, takenBlk: header, fallBlk: last + 1}
+			b.blocks[last].term = terminator{kind: KindBranch, aux: sb, takenBlk: header, fallBlk: last + 1}
 		case segDiamond:
 			idx := b.newBlock(0)
-			sb := b.makeDiamondBranch()
+			sb := b.newBranch(BranchClass(b.choice.Sample(b.r)))
 			t := b.newBlock(0)
 			e := b.newBlock(0)
-			b.blocks[idx].term = terminator{kind: KindBranch, branch: sb, takenBlk: t, fallBlk: e}
+			b.blocks[idx].term = terminator{kind: KindBranch, aux: sb, takenBlk: t, fallBlk: e}
 			b.blocks[t].term = terminator{kind: KindJump, takenBlk: e + 1}
 			b.blocks[e].term = terminator{kind: kindFallthrough, fallBlk: e + 1}
 		case segCall:
@@ -362,18 +405,15 @@ func (b *builder) buildFunction(leaf bool, callees []int) int {
 			callee := callees[b.r.Intn(len(callees))]
 			b.blocks[idx].term = terminator{kind: KindCall, takenBlk: callee, fallBlk: idx + 1}
 		case segIndirect:
-			n := b.spec.IndirectTargets
-			if n < 2 {
-				n = 2
-			}
+			// The targets are n consecutive stubs, each jumping past the
+			// last.
+			n := int32(max(b.spec.IndirectTargets, 2))
 			idx := b.newBlock(0)
-			targets := make([]int, n)
-			for k := 0; k < n; k++ {
+			for k := int32(0); k < n; k++ {
 				stub := b.newBlock(0)
-				targets[k] = stub
 				b.blocks[stub].term = terminator{kind: KindJump, takenBlk: idx + n + 1}
 			}
-			b.blocks[idx].term = terminator{kind: KindIndirect, indirect: targets}
+			b.blocks[idx].term = terminator{kind: KindIndirect, takenBlk: idx + 1, aux: n}
 		}
 	}
 	ret := b.newBlock(0)
@@ -410,38 +450,24 @@ func (b *builder) segmentKind(leaf bool) int {
 	}
 }
 
-func (b *builder) makeLoopBranch() *staticBranch {
-	lo, hi := b.mix.LoopTripMin, b.mix.LoopTripMax
-	if lo <= 1 {
-		lo = 4
-	}
-	if hi < lo {
-		hi = lo
-	}
-	sb := &staticBranch{id: b.nextID, gen: &loopGen{trip: b.r.Range(lo, hi)}, rng: b.r.Fork()}
-	b.nextID++
-	b.prog.branches = append(b.prog.branches, sb)
-	return sb
-}
-
-func (b *builder) makeDiamondBranch() *staticBranch {
-	sb := b.mix.makeBranch(b.nextID, b.choice, b.r)
-	b.nextID++
-	b.prog.branches = append(b.prog.branches, sb)
-	return sb
+// newBranch appends a static branch of class cls and returns its index,
+// which is also its static ID.
+func (b *builder) newBranch(cls BranchClass) int32 {
+	b.branches = append(b.branches, b.mix.newBranch(cls, b.r))
+	return int32(len(b.branches) - 1)
 }
 
 // newBlock appends a block with a sampled body length (plus extraLen) and
 // returns its index. Terminator is filled by the caller.
-func (b *builder) newBlock(extraLen int) int {
+func (b *builder) newBlock(extraLen int) int32 {
 	spec := b.spec
-	blen := 1 + b.r.Geometric(rng.NewThreshold(1.0/float64(spec.AvgBlockLen))) + extraLen
+	blen := 1 + b.r.Geometric(b.blockLen) + extraLen
 	if blen > 4*spec.AvgBlockLen {
 		blen = 4 * spec.AvgBlockLen
 	}
-	blk := block{instrs: b.allocInstrs(blen)}
-	for j := range blk.instrs {
-		si := &blk.instrs[j]
+	first := int32(len(b.instrs))
+	for range blen {
+		var si staticInstr
 		x := b.r.Float64()
 		switch {
 		case x < spec.LoadFrac:
@@ -455,59 +481,42 @@ func (b *builder) newBlock(extraLen int) int {
 		default:
 			si.kind = KindALU
 			si.lat = 1
-			if b.r.Bool(spec.LongLatFrac) {
+			if b.r.Below(b.longLat) {
 				si.lat = 3
 			}
 		}
-		si.hasDep2 = b.r.Bool(0.4)
+		si.hasDep2 = b.r.Below(dep2)
+		b.instrs = append(b.instrs, si)
 	}
-	b.blocks = append(b.blocks, blk)
-	return len(b.blocks) - 1
-}
-
-// allocInstrs carves n zeroed instruction slots from the arena.
-func (b *builder) allocInstrs(n int) []staticInstr {
-	if n > len(b.arena) {
-		b.arena = make([]staticInstr, max(n, instrChunk))
-	}
-	s := b.arena[:n:n]
-	b.arena = b.arena[n:]
-	return s
+	b.blocks = append(b.blocks, block{first: first, n: int32(blen)})
+	return int32(len(b.blocks) - 1)
 }
 
 // addMemPattern samples one static memory instruction's address pattern
 // into the program's table and returns its 1-based index.
 func (b *builder) addMemPattern() uint32 {
-	b.prog.mems = append(b.prog.mems, b.makeMemPattern())
-	return uint32(len(b.prog.mems))
-}
-
-func (b *builder) makeMemPattern() memPattern {
-	var m memPattern
-	m.random = b.r.Bool(b.spec.RandomAddrFrac)
-	wsMask := nextPow2u(b.ws) - 1
-	if m.random {
-		m.base = dataBase
-		m.span = wsMask + 1
-		return m
+	if b.r.Below(b.randomAddr) {
+		b.mems = append(b.mems, memPattern{base: dataBase, random: true})
+	} else {
+		base := dataBase + (b.r.Uint64() & b.wsMask &^ 63)
+		stride := 8 * (1 + b.r.Intn(8))
+		span := stride * (16 + b.r.Intn(240))
+		b.mems = append(b.mems, memPattern{base: base, span: uint16(span), stride: uint8(stride)})
 	}
-	m.base = dataBase + (b.r.Uint64() & wsMask &^ 63)
-	m.stride = uint64(8 * (1 + b.r.Intn(8)))
-	m.span = m.stride * uint64(16+b.r.Intn(240))
-	return m
+	return uint32(len(b.mems))
 }
 
-// assignPCs lays region blocks out contiguously in their own address
+// assignPCs lays a region's blocks out contiguously in their own address
 // window.
-func (b *builder) assignPCs(phIdx int) {
+func (b *builder) assignPCs(phIdx int, region []block) {
 	pc := uint64(0x1000_0000) + uint64(phIdx)<<24
-	for i := range b.blocks {
-		b.blocks[i].pc = pc
-		n := len(b.blocks[i].instrs)
-		if b.blocks[i].term.kind != kindFallthrough {
+	for i := range region {
+		region[i].pc = pc
+		n := uint64(region[i].n)
+		if region[i].term.kind != kindFallthrough {
 			n++ // terminator instruction
 		}
-		pc += uint64(n) * instrBytes
+		pc += n * instrBytes
 	}
 }
 

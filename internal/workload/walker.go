@@ -11,17 +11,15 @@ const maxCallDepth = 64
 // when the simulator recovers from a misprediction it resumes exactly where
 // the walker stopped.
 type Walker struct {
-	spec   *Spec
-	prog   *program
-	mems   []memPattern // prog.mems, one load closer to Next
-	r      *rng.RNG
-	depGeo rng.Threshold // DepGeoP, prepared once for depDist
-	ctx    globalCtx
-	wsMask uint64
+	spec    *Spec
+	program // the built code; the hot path reads its slabs directly
+	r       rng.RNG
+	depGeo  rng.Threshold // DepGeoP, prepared once for depDist
+	ctx     globalCtx
+	wsMask  uint64
 
 	phase         int
 	phaseCount    uint64
-	region        []block
 	blockIdx      int
 	instrIdx      int
 	callStack     []int
@@ -37,28 +35,25 @@ func NewWalker(spec *Spec) (*Walker, error) {
 		return nil, err
 	}
 	r := rng.NewStream(spec.Seed, 0x5eed)
-	prog := build(spec, r)
 	depP := spec.DepGeoP
 	if depP <= 0 || depP > 1 {
 		depP = 0.5
 	}
 	w := &Walker{
 		spec:      spec,
-		prog:      prog,
-		mems:      prog.mems,
-		r:         r.Fork(),
+		program:   build(spec, r),
 		depGeo:    rng.NewThreshold(depP),
 		wsMask:    nextPow2u(uint64(spec.WorkingSetKB)*1024) - 1,
 		callStack: make([]int, 0, maxCallDepth),
+		ctx: globalCtx{
+			stormEnter: rng.NewThreshold(spec.StormEnter),
+			stormExit:  rng.NewThreshold(spec.StormExit),
+			stormFlip:  rng.NewThreshold(spec.StormFlip),
+		},
 	}
-	w.ctx = globalCtx{
-		stormEnter: spec.StormEnter,
-		stormExit:  spec.StormExit,
-		stormFlip:  spec.StormFlip,
-		stormRNG:   r.Fork(),
-	}
-	w.region = w.prog.regions[0]
-	w.blockIdx = w.prog.entries[0]
+	fork(&w.r, r)
+	fork(&w.ctx.stormRNG, r)
+	w.blockIdx = int(w.entries[0])
 	return w, nil
 }
 
@@ -84,15 +79,15 @@ func (w *Walker) Next() (ins Instruction) {
 // every field: the kernel generates straight into its fetch slot.
 func (w *Walker) NextInto(ins *Instruction) {
 	w.maybeSwitchPhase()
-	blk := &w.region[w.blockIdx]
+	blk := &w.blocks[w.blockIdx]
 	// Fall through terminator-less blocks (segment stitching).
-	for w.instrIdx >= len(blk.instrs) && blk.term.kind == kindFallthrough {
-		w.blockIdx = blk.term.fallBlk
+	for w.instrIdx >= int(blk.n) && blk.term.kind == kindFallthrough {
+		w.blockIdx = int(blk.term.fallBlk)
 		w.instrIdx = 0
-		blk = &w.region[w.blockIdx]
+		blk = &w.blocks[w.blockIdx]
 	}
-	if w.instrIdx < len(blk.instrs) {
-		si := &blk.instrs[w.instrIdx]
+	if w.instrIdx < int(blk.n) {
+		si := &w.instrs[int(blk.first)+w.instrIdx]
 		// Zero the slot, then store fields: a composite literal would be
 		// built on the stack and copied, and the copy's wide loads stall
 		// on the literal's narrow stores.
@@ -105,7 +100,7 @@ func (w *Walker) NextInto(ins *Instruction) {
 			ins.Dep2 = w.depDist()
 		}
 		if si.mem != 0 {
-			ins.Addr = w.mems[si.mem-1].next(w.r, w.wsMask)
+			ins.Addr = w.mems[si.mem-1].next(&w.r, w.wsMask)
 		}
 		w.instrIdx++
 	} else {
@@ -133,25 +128,23 @@ func (w *Walker) depDist() int32 {
 func (w *Walker) terminatorInstr(blk *block, ins *Instruction) {
 	t := &blk.term
 	*ins = Instruction{} // zeroed, then stored field by field as in NextInto
-	ins.PC = blk.pc + uint64(len(blk.instrs))*instrBytes
+	ins.PC = blk.pc + uint64(blk.n)*instrBytes
 	ins.Dep1 = w.depDist()
 	ins.StaticID, ins.Lat, ins.Kind = -1, 1, t.kind
 	switch t.kind {
 	case KindBranch:
-		taken := t.branch.next(&w.ctx)
+		taken := w.branches[t.aux].next(&w.ctx)
 		ins.Taken = taken
-		ins.StaticID = int32(t.branch.id)
+		ins.StaticID = t.aux
 		if taken {
-			w.blockIdx = t.takenBlk
-			ins.AltPC = w.region[t.fallBlk].pc // mispredicted: falls through
+			w.blockIdx = int(t.takenBlk)
+			ins.AltPC = w.blocks[t.fallBlk].pc // mispredicted: falls through
 		} else {
-			w.blockIdx = t.fallBlk
-			ins.AltPC = w.region[t.takenBlk].pc // mispredicted: takes the branch
+			w.blockIdx = int(t.fallBlk)
+			ins.AltPC = w.blocks[t.takenBlk].pc // mispredicted: takes the branch
 		}
-		ins.NextPC = w.region[w.blockIdx].pc
 	case KindJump:
-		w.blockIdx = t.takenBlk
-		ins.NextPC = w.region[w.blockIdx].pc
+		w.blockIdx = int(t.takenBlk)
 	case KindCall:
 		// Clamp by sliding in place rather than re-slicing off the front:
 		// the backing array keeps its full capacity, so pushes never
@@ -161,9 +154,8 @@ func (w *Walker) terminatorInstr(blk *block, ins *Instruction) {
 			copy(w.callStack, w.callStack[len(w.callStack)-maxCallDepth+1:])
 			w.callStack = w.callStack[:maxCallDepth-1]
 		}
-		w.callStack = append(w.callStack, t.fallBlk)
-		w.blockIdx = t.takenBlk
-		ins.NextPC = w.region[w.blockIdx].pc
+		w.callStack = append(w.callStack, int(t.fallBlk))
+		w.blockIdx = int(t.takenBlk)
 	case KindReturn:
 		if n := len(w.callStack); n > 0 {
 			w.blockIdx = w.callStack[n-1]
@@ -171,15 +163,15 @@ func (w *Walker) terminatorInstr(blk *block, ins *Instruction) {
 		} else {
 			// Unbalanced return (clamped stack or phase switch): restart
 			// at the region's driver loop.
-			w.blockIdx = w.prog.entries[w.phase]
+			w.blockIdx = int(w.entries[w.phase])
 		}
-		ins.NextPC = w.region[w.blockIdx].pc
 	case KindIndirect:
-		w.blockIdx = t.indirect[w.r.Intn(len(t.indirect))]
-		ins.NextPC = w.region[w.blockIdx].pc
+		// The targets are t.aux consecutive blocks from t.takenBlk.
+		w.blockIdx = int(t.takenBlk) + w.r.Intn(int(t.aux))
 	default:
 		panic("workload: bad terminator kind")
 	}
+	ins.NextPC = w.blocks[w.blockIdx].pc
 	w.instrIdx = 0
 }
 
@@ -190,8 +182,7 @@ func (w *Walker) maybeSwitchPhase() {
 	}
 	w.phaseCount = 0
 	w.phase = (w.phase + 1) % len(w.spec.Phases)
-	w.region = w.prog.regions[w.phase]
-	w.blockIdx = w.prog.entries[w.phase]
+	w.blockIdx = int(w.entries[w.phase])
 	w.instrIdx = 0
 	w.callStack = w.callStack[:0]
 	w.phaseSwitches++
@@ -207,11 +198,12 @@ type BranchStats struct {
 
 // BranchStats returns per-static-branch execution statistics.
 func (w *Walker) BranchStats() []BranchStats {
-	out := make([]BranchStats, 0, len(w.prog.branches))
-	for _, sb := range w.prog.branches {
+	out := make([]BranchStats, 0, len(w.branches))
+	for i := range w.branches {
+		sb := &w.branches[i]
 		out = append(out, BranchStats{
-			ID:       sb.id,
-			Class:    sb.gen.class(),
+			ID:       i,
+			Class:    sb.class,
 			Executed: sb.executed,
 			Taken:    sb.taken,
 		})

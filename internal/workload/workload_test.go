@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"paco/internal/rng"
@@ -164,27 +165,48 @@ func TestMemoryAddressesInWorkingSet(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	cases := []func(*Spec){
-		func(s *Spec) { s.Name = "" },
-		func(s *Spec) { s.Phases = nil },
-		func(s *Spec) { s.Phases[0].Instructions = 0 },
-		func(s *Spec) { s.Phases[0].Mix = BranchMix{} },
-		func(s *Spec) { s.Phases[0].Mix.Loop = -0.2 },
-		func(s *Spec) { s.Phases[0].Mix.Random = math.NaN() },
-		func(s *Spec) { s.Phases[0].Mix.Biased = math.Inf(1) },
-		func(s *Spec) { s.BlocksPerPhase = 0 },
-		func(s *Spec) { s.AvgBlockLen = 0 },
-		func(s *Spec) { s.WorkingSetKB = 0 },
-	}
-	for i, mutate := range cases {
+	for _, c := range []struct {
+		mutate func(*Spec)
+		want   string // the error names what is wrong
+	}{
+		{func(s *Spec) { s.Name = "" }, "name"},
+		{func(s *Spec) { s.Phases = nil }, "phase"},
+		{func(s *Spec) { s.Phases[0].Instructions = 0 }, "phase 0"},
+		{func(s *Spec) { s.Phases[0].Mix = BranchMix{} }, "phase 0"},
+		{func(s *Spec) { s.Phases[0].Mix.Loop = -0.2 }, "phase 0"},
+		{func(s *Spec) { s.Phases[0].Mix.Random = math.NaN() }, "phase 0"},
+		{func(s *Spec) { s.Phases[0].Mix.Biased = math.Inf(1) }, "phase 0"},
+		{func(s *Spec) { s.BlocksPerPhase = 0 }, "BlocksPerPhase"},
+		{func(s *Spec) { s.BlocksPerPhase = maxProgramBlocks + 1 }, "BlocksPerPhase"},
+		{func(s *Spec) { s.Phases = append(s.Phases, s.Phases[0]); s.BlocksPerPhase = maxProgramBlocks/2 + 1 }, "BlocksPerPhase"},
+		{func(s *Spec) { s.BlocksPerPhase = math.MaxInt }, "BlocksPerPhase"},
+		{func(s *Spec) { s.AvgBlockLen = 0 }, "AvgBlockLen"},
+		{func(s *Spec) { s.AvgBlockLen = maxAvgBlockLen + 1 }, "AvgBlockLen"},
+		{func(s *Spec) { s.WorkingSetKB = 0 }, "WorkingSetKB"},
+		{func(s *Spec) { s.LoadFrac = 1.5 }, "LoadFrac"},
+		{func(s *Spec) { s.StormFlip = math.NaN() }, "StormFlip"},
+		{func(s *Spec) { s.IndirectTargets = -1 }, "IndirectTargets"},
+		{func(s *Spec) { s.IndirectTargets = maxIndirectTargets + 1 }, "IndirectTargets"},
+		// Each field within its bound, the product over the size bound.
+		{func(s *Spec) { s.BlocksPerPhase = maxProgramBlocks; s.AvgBlockLen = 64 }, "AvgBlockLen"},
+		{func(s *Spec) { s.BlocksPerPhase, s.IndirectFrac, s.IndirectTargets = 4000, 1, maxIndirectTargets }, "IndirectTargets"},
+	} {
 		s := testSpec()
-		mutate(s)
-		if err := s.Validate(); err == nil {
-			t.Fatalf("case %d: invalid spec passed validation", i)
+		c.mutate(s)
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("want an error naming %q, invalid spec passed validation", c.want)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %q does not name %q", err, c.want)
 		}
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, name := range BenchmarkNames {
+		if n := programBytes(MustBenchmark(name)); n > maxProgramBytes/8 {
+			t.Errorf("%s: program of %d bytes is within 8x of the %d bound", name, n, maxProgramBytes)
+		}
 	}
 }
 
@@ -288,36 +310,58 @@ func TestWrongPathMispredictRate(t *testing.T) {
 	}
 }
 
+// TestGeneratorClasses checks each outcome generator against its class's
+// taken rate, and that history-driven classes draw nothing.
 func TestGeneratorClasses(t *testing.T) {
-	r := rng.New(3)
-	var g globalCtx
-	// Loop: taken with probability 1-1/trip.
-	lg := &loopGen{trip: 10}
-	taken := 0
-	for i := 0; i < 10000; i++ {
-		if lg.next(&g, r) {
-			taken++
+	for _, c := range []struct {
+		name   string
+		sb     staticBranch
+		lo, hi float64
+	}{
+		// Loop: taken with probability 1-1/trip.
+		{"loop trip 10", staticBranch{class: ClassLoop, p: rng.NewThreshold(1.0 / 10)}, 0.88, 0.92},
+		// Biased: taken with probability p, mirrored to 1-p by the mix.
+		{"biased 0.98", staticBranch{class: ClassBiased, p: rng.NewThreshold(0.98)}, 0.97, 0.99},
+		{"biased 0.02", staticBranch{class: ClassBiased, p: rng.NewThreshold(0.02)}, 0.01, 0.03},
+		// Noisy: a 0.97-biased draw flipped at eps, so taken at
+		// 0.97(1-eps) + 0.03eps.
+		{"noisy eps 0.1", staticBranch{class: ClassNoisy, p: rng.NewThreshold(0.97), eps: rng.NewThreshold(0.1)}, 0.86, 0.89},
+		{"random 0.5", staticBranch{class: ClassRandom, p: rng.NewThreshold(0.5)}, 0.48, 0.52},
+	} {
+		sb := c.sb
+		fork(&sb.rng, rng.New(3))
+		var g globalCtx
+		for range 20_000 {
+			sb.next(&g)
+		}
+		if got := float64(sb.taken) / float64(sb.executed); got < c.lo || got > c.hi {
+			t.Errorf("%s: taken fraction %.4f, want in [%.2f, %.2f]", c.name, got, c.lo, c.hi)
 		}
 	}
-	if taken < 8500 || taken > 9500 {
-		t.Fatalf("loop taken fraction %d/10000, want ~9000", taken)
-	}
-	// Correlated: deterministic function of history.
-	cg := &correlatedGen{maskBits: 0b11, cls: ClassCorrelated}
+	// Correlated: deterministic function of history, drawing nothing.
+	cg := staticBranch{class: ClassCorrelated, mask: 0b11}
+	fork(&cg.rng, rng.New(3))
+	state := cg.rng
+	var g globalCtx
 	g.history = 0b01
-	first := cg.next(&g, r)
+	first := cg.next(&g)
 	g.history = 0b01
-	if cg.next(&g, r) != first {
+	if cg.next(&g) != first {
 		t.Fatal("correlated generator not deterministic given history")
 	}
-	if cg.class() != ClassCorrelated {
-		t.Fatal("class tag")
+	if cg.rng != state {
+		t.Fatal("correlated generator drew from its stream")
 	}
 }
 
 func TestStormClustering(t *testing.T) {
 	r := rng.New(4)
-	g := globalCtx{stormEnter: 0.01, stormExit: 0.05, stormFlip: 0.5, stormRNG: r.Fork()}
+	g := globalCtx{
+		stormEnter: rng.NewThreshold(0.01),
+		stormExit:  rng.NewThreshold(0.05),
+		stormFlip:  rng.NewThreshold(0.5),
+	}
+	fork(&g.stormRNG, r)
 	flips := 0
 	for i := 0; i < 50000; i++ {
 		if g.maybeStormFlip(true) != true {
