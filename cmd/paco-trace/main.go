@@ -34,6 +34,7 @@ package main
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,43 +50,56 @@ import (
 	"paco/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning its exit status: 0 on
+// success or -h, 2 on a usage or flag error (the flag package's
+// convention), 1 when the subcommand fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	var cmd func(args []string, stdout, stderr io.Writer) error
+	switch {
+	case len(args) == 0:
+	case args[0] == "record":
+		cmd = record
+	case args[0] == "replay":
+		cmd = replay
+	case args[0] == "stream":
+		cmd = stream
+	case args[0] == "-version" || args[0] == "--version":
+		version.Fprint(stdout, "paco-trace")
+		return 0
 	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = record(os.Args[2:])
-	case "replay":
-		err = replay(os.Args[2:])
-	case "stream":
-		err = stream(os.Args[2:])
-	case "-version", "--version":
-		version.Fprint(os.Stdout, "paco-trace")
+	if cmd == nil {
+		fmt.Fprintln(stderr, "usage: paco-trace record|replay|stream [flags]")
+		return 2
+	}
+	switch err := cmd(args[1:], stdout, stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2
 	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paco-trace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "paco-trace:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: paco-trace record|replay|stream [flags]")
-	os.Exit(2)
-}
+// errFlags marks a subcommand's flag-parsing error, which its flag set
+// has already reported on stderr.
+var errFlags = errors.New("bad flags")
 
-func record(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func record(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	bench := fs.String("bench", "gzip", "benchmark model to trace")
 	scn := fs.String("scenario", "", "scenario family or .json file to trace instead of -bench")
 	fuzz := fs.Uint64("fuzz", 0, "trace a deterministically fuzzed scenario from this seed instead of -bench")
 	instructions := fs.Uint64("instructions", 500_000, "goodpath instructions to record")
 	warmup := fs.Uint64("warmup", 100_000, "warmup instructions before recording")
 	out := fs.String("o", "paco.trace", "output trace file")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	var (
 		spec       *workload.Spec
@@ -169,22 +183,25 @@ func record(args []string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d events from %s to %s\n", w.Events(), spec.Name, *out)
+	fmt.Fprintf(stdout, "recorded %d events from %s to %s\n", w.Events(), spec.Name, *out)
 	if provenance != ([32]byte{}) {
-		fmt.Printf("scenario hash %s\n", hex.EncodeToString(provenance[:]))
+		fmt.Fprintf(stdout, "scenario hash %s\n", hex.EncodeToString(provenance[:]))
 	}
 	return nil
 }
 
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func replay(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("i", "paco.trace", "input trace file")
 	estName := fs.String("estimator", "paco", "paco|static|perbranch|count")
 	estList := fs.String("estimators", "", "comma-separated estimator set for -scores mode (implies -scores)")
 	scores := fs.Bool("scores", false, "print the session scores JSON document to stdout (byte-identical to the stream subcommand's final output for the same events)")
 	threshold := fs.Uint("threshold", 3, "JRS threshold for -estimator count")
 	refresh := fs.Uint64("refresh", core.DefaultRefreshPeriod, "PaCo MRT refresh period")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -209,7 +226,7 @@ func replay(args []string) error {
 			return err
 		}
 		if prov := r.Provenance(); prov != ([32]byte{}) {
-			fmt.Fprintf(os.Stderr, "scenario hash %s\n", hex.EncodeToString(prov[:]))
+			fmt.Fprintf(stderr, "scenario hash %s\n", hex.EncodeToString(prov[:]))
 		}
 		sc, err := session.Replay(r, spec)
 		if err != nil {
@@ -219,7 +236,7 @@ func replay(args []string) error {
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(append(out, '\n'))
+		_, err = stdout.Write(append(out, '\n'))
 		return err
 	}
 
@@ -237,19 +254,19 @@ func replay(args []string) error {
 		return fmt.Errorf("unknown estimator %q", *estName)
 	}
 	if prov := r.Provenance(); prov != ([32]byte{}) {
-		fmt.Printf("scenario hash %s\n", hex.EncodeToString(prov[:]))
+		fmt.Fprintf(stdout, "scenario hash %s\n", hex.EncodeToString(prov[:]))
 	}
 	st, err := trace.Replay(r, []core.Estimator{est})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed: %d fetches, %d resolves, %d squashes, %d retires, %d cycles\n",
+	fmt.Fprintf(stdout, "replayed: %d fetches, %d resolves, %d squashes, %d retires, %d cycles\n",
 		st.Fetches, st.Resolves, st.Squashes, st.Retires, st.Cycles)
 	switch e := est.(type) {
 	case core.Probabilistic:
-		fmt.Printf("final encoded sum %d (P(goodpath) %.3f)\n", e.EncodedSum(), e.GoodpathProb())
+		fmt.Fprintf(stdout, "final encoded sum %d (P(goodpath) %.3f)\n", e.EncodedSum(), e.GoodpathProb())
 	case *core.CountPredictor:
-		fmt.Printf("final low-confidence count %d\n", e.Count())
+		fmt.Fprintf(stdout, "final low-confidence count %d\n", e.Count())
 	}
 	return nil
 }
@@ -261,8 +278,9 @@ func replay(args []string) error {
 // and close. The final scores document, the DELETE response, goes to
 // stdout verbatim, so it byte-compares against `replay -scores`;
 // rolling progress goes to stderr.
-func stream(args []string) error {
-	fs := flag.NewFlagSet("stream", flag.ExitOnError)
+func stream(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	in := fs.String("i", "paco.trace", "input trace file")
 	server := fs.String("server", "http://localhost:8344", "paco-serve base URL")
 	estList := fs.String("estimators", "paco", "comma-separated estimator kinds (paco, static, perbranch, count)")
@@ -272,7 +290,9 @@ func stream(args []string) error {
 	rate := fs.Float64("rate", 0, "pace ingest at this many events/sec (0 = as fast as the server accepts)")
 	interval := fs.Duration("interval", time.Second, "rolling score report period on stderr (0 disables)")
 	retryBudget := fs.Int("retry-budget", session.DefaultRetryBudget, "abort after this many total 429 backpressure retries (0 = unlimited)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	if *chunkSize <= 0 {
 		return fmt.Errorf("-chunk must be positive, got %d", *chunkSize)
@@ -301,7 +321,7 @@ func stream(args []string) error {
 		// workers mid-stream (the CI failover smoke) grep this line.
 		owner = " on worker " + opened.Worker
 	}
-	fmt.Fprintf(os.Stderr, "session %s (key %.12s…)%s: streaming %d bytes from %s\n",
+	fmt.Fprintf(stderr, "session %s (key %.12s…)%s: streaming %d bytes from %s\n",
 		opened.ID, opened.Key, owner, len(raw), *in)
 
 	var (
@@ -331,7 +351,7 @@ func stream(args []string) error {
 		}
 		if *interval > 0 && time.Since(lastPrint) >= *interval {
 			lastPrint = time.Now()
-			printRolling(os.Stderr, c, opened.ID, accepted)
+			printRolling(stderr, c, opened.ID, accepted)
 		}
 	}
 
@@ -340,10 +360,10 @@ func stream(args []string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "streamed %d events in %d chunks (%d backpressure retries) in %v (%.0f events/sec)\n",
+	fmt.Fprintf(stderr, "streamed %d events in %d chunks (%d backpressure retries) in %v (%.0f events/sec)\n",
 		accepted, chunks, st.Retries(), elapsed.Round(time.Millisecond),
 		float64(accepted)/elapsed.Seconds())
-	_, err = os.Stdout.Write(final)
+	_, err = stdout.Write(final)
 	return err
 }
 

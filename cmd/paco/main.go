@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -24,8 +26,14 @@ import (
 	"paco/internal/version"
 )
 
-func main() {
-	fs := flag.NewFlagSet("paco", flag.ExitOnError)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main, returning its exit status: 0 on
+// success or -h, 2 on a usage or flag error (the flag package's
+// convention), 1 when the experiment fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paco", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "use the small test-scale configuration")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "simulation worker pool size")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to a file")
@@ -34,30 +42,33 @@ func main() {
 	warmup := fs.Uint64("warmup", 0, "warmup instructions per run (0 = config default)")
 	refresh := fs.Uint64("refresh", 0, "PaCo MRT refresh period in cycles (0 = config default)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paco <experiment> [flags]\n\nexperiments:\n")
+		fmt.Fprintf(stderr, "usage: paco <experiment> [flags]\n\nexperiments:\n")
 		for _, n := range experiments.Names() {
-			fmt.Fprintf(os.Stderr, "  %s\n", n)
+			fmt.Fprintf(stderr, "  %s\n", n)
 		}
-		fmt.Fprintf(os.Stderr, "\nflags:\n")
+		fmt.Fprintf(stderr, "\nflags:\n")
 		fs.PrintDefaults()
 	}
-	if len(os.Args) < 2 {
+	if len(args) < 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
-	name := os.Args[1]
+	name := args[0]
 	if name == "list" {
 		for _, n := range experiments.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if name == "-version" || name == "--version" {
-		version.Fprint(os.Stdout, "paco")
-		return
+		version.Fprint(stdout, "paco")
+		return 0
 	}
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	cfg := experiments.Default()
 	if *quick {
@@ -75,11 +86,12 @@ func main() {
 	cfg.Workers = *jobs
 	start := time.Now()
 	err := perf.WithProfiles(*cpuprofile, *memprofile, func() error {
-		return experiments.Run(name, cfg, os.Stdout)
+		return experiments.Run(name, cfg, stdout)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paco:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "paco:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	return 0
 }

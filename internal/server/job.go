@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"paco/internal/campaign"
 )
@@ -213,6 +214,58 @@ func (j *job) appendHead(b, spec []byte) []byte {
 // status document spells its timestamps; the form needs no escaping.
 func appendTime(b []byte, t time.Time) []byte {
 	return append(t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"')
+}
+
+// appendMarshalString appends s quoted exactly as json.Marshal quotes
+// it: '"' and '\\' escaped, control characters as \b, \f, \n, \r, \t or
+// \u00XX, '<', '>' and '&' and U+2028 and U+2029 as \u escapes, and each
+// byte that is not valid UTF-8 as \ufffd.
+func appendMarshalString(dst []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is copied as it stands
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			if r == utf8.RuneError {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			}
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // appendMarshalFloat appends f, which must be finite, as json.Marshal
