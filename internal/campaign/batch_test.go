@@ -171,7 +171,7 @@ func TestBatchedShardRunByteIdentical(t *testing.T) {
 		}
 		pieces := make([][]Result, len(shards))
 		for i, sh := range shards {
-			pieces[i], err = sh.Run(context.Background(), 2, 4)
+			pieces[i], err = sh.Run(context.Background(), &Runner{Workers: 2, BatchK: 4})
 			if err != nil {
 				t.Fatalf("split %d shard %d: %v", n, i, err)
 			}

@@ -55,9 +55,8 @@ func (g Grid) Shards(n int) ([]Shard, error) {
 
 // Ranges carves [0, size) into min(n, size) balanced contiguous [lo, hi)
 // ranges: sizes differ by at most one, larger ranges first, and the
-// ranges partition the space in order. It is the one splitting rule both
-// grid shards and in-process job-slice federations use, so a campaign
-// shards identically however it is described.
+// ranges partition the space in order. Grid shards and batch planning
+// both split by it.
 func Ranges(size, n int) [][2]int {
 	if size <= 0 || n <= 0 {
 		return nil
@@ -100,28 +99,19 @@ func (s Shard) ID() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Jobs expands the shard's slice of the grid's cell space.
-func (s Shard) Jobs() []Job {
+// Run executes the shard's slice of the grid on r, batching up to
+// r.BatchK cells that share a stream key, and returns its results
+// re-indexed into the grid's global cell space, so merging the shards of
+// a split campaign (Merge) reproduces the unsplit run's result slice —
+// byte for byte, at any worker count, batch width or shard split. A
+// range that is empty or outside the grid returns nil results and an
+// error; otherwise every cell has a result, and the error is r.Run's.
+func (s Shard) Run(ctx context.Context, r *Runner) ([]Result, error) {
 	jobs := s.Grid.Jobs()
-	if s.Lo < 0 || s.Hi > len(jobs) || s.Lo > s.Hi {
-		return nil
+	if s.Lo < 0 || s.Hi > len(jobs) || s.Lo >= s.Hi {
+		return nil, fmt.Errorf("campaign: shard range [%d,%d) outside grid's %d cells", s.Lo, s.Hi, len(jobs))
 	}
-	return jobs[s.Lo:s.Hi]
-}
-
-// Run executes the shard on a local worker pool, batching up to batchK
-// cells that share a stream key (see Runner.BatchK), and returns its
-// results re-indexed into the grid's global cell space, so merging the
-// shards of a split campaign (Merge) reproduces the unsplit run's
-// result slice — byte for byte, at any worker count, batch width or
-// shard split.
-func (s Shard) Run(ctx context.Context, workers, batchK int) ([]Result, error) {
-	jobs := s.Jobs()
-	if len(jobs) != s.Hi-s.Lo {
-		return nil, fmt.Errorf("campaign: shard range [%d,%d) outside grid's %d cells", s.Lo, s.Hi, len(s.Grid.Jobs()))
-	}
-	r := Runner{Workers: workers, BatchK: batchK}
-	results, err := r.Run(ctx, jobs)
+	results, err := r.Run(ctx, jobs[s.Lo:s.Hi])
 	for i := range results {
 		results[i].Index = s.Lo + i
 	}

@@ -161,7 +161,7 @@ func TestShardRunMergeByteIdentical(t *testing.T) {
 		pieces := make([][]Result, len(shards))
 		for i := len(shards) - 1; i >= 0; i-- {
 			workers := 1 + i%3
-			pieces[i], err = shards[i].Run(context.Background(), workers, 0)
+			pieces[i], err = shards[i].Run(context.Background(), &Runner{Workers: workers})
 			if err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}

@@ -55,13 +55,13 @@ type Config struct {
 	Workers int
 
 	// Execute, when non-nil, replaces the in-process campaign pool as
-	// the executor every experiment submits its measurement jobs to —
-	// the injection point the distributed-determinism harness
-	// (internal/server/servertest) uses to run whole experiments through
-	// a multi-worker federation and assert the report bytes never
-	// change. Implementations must preserve the campaign contract:
-	// one Result per job, in job order. Never part of a cache key
-	// (execution strategy cannot perturb deterministic results).
+	// the executor every experiment submits its measurement jobs to.
+	// perfbench's repro workload injects a counting executor here, and
+	// the experiments tests an unbatched runner, to check that batching
+	// never changes report bytes. Implementations must preserve the
+	// campaign contract: one Result per job, in job order. Never part of
+	// a cache key (execution strategy cannot perturb deterministic
+	// results).
 	Execute func(ctx context.Context, workers int, jobs []campaign.Job) ([]campaign.Result, error) `json:"-"`
 }
 

@@ -135,6 +135,19 @@ func TestTable7(t *testing.T) {
 	}
 }
 
+// TestTable7Ranking pins the measured ranking line's order: best lowest
+// RMS first, worst highest first, equal errors by name either way.
+func TestTable7Ranking(t *testing.T) {
+	t7 := &Table7{Rows: []Table7Row{
+		{Benchmark: "vpr", RMS: 0.05}, {Benchmark: "gcc", RMS: 0.02}, {Benchmark: "mcf", RMS: 0.09},
+		{Benchmark: "gap", RMS: 0.09}, {Benchmark: "eon", RMS: 0.02}, {Benchmark: "gzip", RMS: 0.07},
+	}}
+	best, worst := t7.ranking(3)
+	if got := strings.Join(best, "/") + " " + strings.Join(worst, "/"); got != "eon/gcc/vpr gap/mcf/gzip" {
+		t.Fatalf("ranking = %q, want %q", got, "eon/gcc/vpr gap/mcf/gzip")
+	}
+}
+
 func TestFigure10(t *testing.T) {
 	cfg := Quick()
 	f, err := RunFigure10(cfg, []string{"gzip", "twolf"})
@@ -161,6 +174,36 @@ func TestFigure10(t *testing.T) {
 	}
 	if _, ok := f.Best("PaCo", 100); !ok {
 		t.Fatal("Best found nothing under a permissive loss bound")
+	}
+}
+
+// TestFigure10Headlines pins the headline lines: changes print with
+// their sign (a negative reduction is an increase, not "--9.8%"), and a
+// series with no point inside its loss bound prints "none".
+func TestFigure10Headlines(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		series map[string][]GatingPoint
+		want   string
+	}{
+		{"both qualify", map[string][]GatingPoint{
+			"PaCo":     {{Config: "PaCo-38%", PerfLoss: 0.05, BadpathReduction: 8.5, FetchedBadReduction: 26.8}},
+			"JRS-thr3": {{Config: "JRS-thr3-gate4", PerfLoss: 0.2, BadpathReduction: 5.7}},
+		}, "\nheadline PaCo point (<=0.1% loss): PaCo-38% -> badpath exec -8.5%, fetch -26.8%\n" +
+			"headline JRS-thr3 point (<=0.3% loss): JRS-thr3-gate4 -> badpath exec -5.7%\n"},
+		{"negative reduction, no PaCo point", map[string][]GatingPoint{
+			"PaCo":     {{Config: "PaCo-20%", PerfLoss: 0.4, BadpathReduction: 12}},
+			"JRS-thr3": {{Config: "JRS-thr3-gate6", PerfLoss: -0.1, BadpathReduction: -9.8}},
+		}, "\nheadline PaCo point (<=0.1% loss): none\n" +
+			"headline JRS-thr3 point (<=0.3% loss): JRS-thr3-gate6 -> badpath exec +9.8%\n"},
+		{"neither qualifies", map[string][]GatingPoint{},
+			"\nheadline PaCo point (<=0.1% loss): none\nheadline JRS-thr3 point (<=0.3% loss): none\n"},
+	} {
+		var b strings.Builder
+		(&Figure10{Series: tc.series}).writeHeadlines(&b)
+		if b.String() != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, b.String(), tc.want)
+		}
 	}
 }
 

@@ -210,13 +210,26 @@ func Figure10Report(cfg Config, w io.Writer) error {
 	if _, err := io.WriteString(w, f.Table().String()); err != nil {
 		return err
 	}
+	f.writeHeadlines(w)
+	return nil
+}
+
+// writeHeadlines writes the paper's two headline points: the most
+// aggressive PaCo point within 0.1% loss and JRS-thr3 point within 0.3%
+// loss. Changes print with their sign, so a reduction below zero reads
+// as the increase it is.
+func (f *Figure10) writeHeadlines(w io.Writer) {
+	fmt.Fprintln(w)
 	if p, ok := f.Best("PaCo", 0.1); ok {
-		fmt.Fprintf(w, "\nheadline PaCo point (<=0.1%% loss): %s -> badpath exec -%.1f%%, fetch -%.1f%%\n",
-			p.Config, p.BadpathReduction, p.FetchedBadReduction)
+		fmt.Fprintf(w, "headline PaCo point (<=0.1%% loss): %s -> badpath exec %+.1f%%, fetch %+.1f%%\n",
+			p.Config, -p.BadpathReduction, -p.FetchedBadReduction)
+	} else {
+		fmt.Fprintln(w, "headline PaCo point (<=0.1% loss): none")
 	}
 	if p, ok := f.Best("JRS-thr3", 0.3); ok {
-		fmt.Fprintf(w, "headline JRS-thr3 point (<=0.3%% loss): %s -> badpath exec -%.1f%%\n",
-			p.Config, p.BadpathReduction)
+		fmt.Fprintf(w, "headline JRS-thr3 point (<=0.3%% loss): %s -> badpath exec %+.1f%%\n",
+			p.Config, -p.BadpathReduction)
+	} else {
+		fmt.Fprintln(w, "headline JRS-thr3 point (<=0.3% loss): none")
 	}
-	return nil
 }

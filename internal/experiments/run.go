@@ -34,10 +34,9 @@ func benchJob(cfg Config, name string, instructions, warmup uint64, setup campai
 
 // runJobs executes a campaign on cfg's worker pool, batching cells
 // that share an instruction stream at campaign.DefaultBatchK — or
-// hands it to cfg.Execute when an alternative executor (e.g. a
-// servertest worker federation) is injected. Either way the results
-// come back one per job, in job order, so reports cannot tell
-// executors apart.
+// hands it to cfg.Execute when an alternative executor is injected.
+// Either way the results come back one per job, in job order, so
+// reports cannot tell executors apart.
 func runJobs(cfg Config, jobs []campaign.Job) ([]campaign.Result, error) {
 	if cfg.Execute != nil {
 		return cfg.Execute(context.Background(), cfg.Workers, jobs)

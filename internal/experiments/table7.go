@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"paco/internal/campaign"
 	"paco/internal/core"
@@ -97,6 +99,28 @@ func (t7 *Table7) Row(name string) (Table7Row, bool) {
 	return Table7Row{}, false
 }
 
+// ranking names the n benchmarks with the lowest RMS error, lowest
+// first, and the n with the highest, highest first; equal errors order
+// by name.
+func (t7 *Table7) ranking(n int) (best, worst []string) {
+	byRMS := func(highestFirst bool) []string {
+		rows := append([]Table7Row(nil), t7.Rows...)
+		sort.Slice(rows, func(i, j int) bool {
+			a, b := rows[i], rows[j]
+			if a.RMS != b.RMS {
+				return (a.RMS < b.RMS) != highestFirst
+			}
+			return a.Benchmark < b.Benchmark
+		})
+		names := make([]string, min(n, len(rows)))
+		for i := range names {
+			names[i] = rows[i].Benchmark
+		}
+		return names
+	}
+	return byRMS(false), byRMS(true)
+}
+
 // Table7Report writes the full accuracy table.
 func Table7Report(cfg Config, w io.Writer) error {
 	t7, err := RunTable7(cfg, nil)
@@ -105,6 +129,8 @@ func Table7Report(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "Table 7: RMS error between predicted and actual goodpath probabilities")
 	fmt.Fprintln(w, "(paper: mean 0.0377; best on twolf/vortex/vpr, worst on gcc/gap/perlbmk)")
+	best, worst := t7.ranking(3)
+	fmt.Fprintf(w, "(measured: best on %s, worst on %s)\n", strings.Join(best, "/"), strings.Join(worst, "/"))
 	fmt.Fprintln(w)
 	_, err = io.WriteString(w, t7.Table().String())
 	return err

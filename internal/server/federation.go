@@ -38,9 +38,10 @@ import (
 //     goroutines.
 //   - Dropped or failed result POST: same as death; the lease expires
 //     and the shard re-runs. Re-running is safe by determinism.
-//   - Worker-reported infrastructure failure (unknown campaign, bad
-//     range): the shard is re-queued and its retry count incremented;
-//     past RetryLimit the whole campaign fails rather than loop forever.
+//   - Worker-reported infrastructure failure (a lease without a grid, a
+//     range outside it): the shard is re-queued and its retry count
+//     incremented; past RetryLimit the whole campaign fails rather than
+//     loop forever.
 //   - Simulation failure inside a cell: travels in the cell's Result.Err
 //     like any local campaign — the shard completes, and the merged
 //     campaign fails with campaign.FirstError, exactly as a
@@ -62,14 +63,13 @@ type LeaseRequest struct {
 // ShardLease is a granted lease: one shard of one campaign, held by one
 // worker until it posts results or the TTL passes.
 type ShardLease struct {
-	LeaseID  string `json:"lease_id"`
-	ShardID  string `json:"shard_id"`
-	Campaign string `json:"campaign"`
+	LeaseID string `json:"lease_id"`
+	ShardID string `json:"shard_id"`
 
-	// Grid, when non-nil, makes the shard self-contained: the worker
-	// expands Grid.Jobs() and runs cells [Lo, Hi). When nil the shard
-	// belongs to an in-process campaign and the worker resolves the jobs
-	// through its JobSource (servertest federations).
+	// Grid makes the shard self-contained: the worker expands
+	// Grid.Jobs() and runs cells [Lo, Hi). The coordinator always sets
+	// it; a worker reports a lease without one as an infrastructure
+	// failure.
 	Grid *campaign.Grid `json:"grid,omitempty"`
 	Lo   int            `json:"lo"`
 	Hi   int            `json:"hi"`
@@ -111,10 +111,9 @@ type ShardResultPost struct {
 // tasks (completed, failed, withdrawn) set done and are skipped lazily
 // when the pending queue reaches them.
 type shardTask struct {
-	id      string // wire shard ID (content address for grid shards)
+	id      string // wire shard ID: the shard's content address
 	dist    *distCampaign
 	ordinal int // position in the campaign's shard plan
-	grid    *campaign.Grid
 	lo, hi  int
 
 	done    bool
@@ -132,7 +131,7 @@ type shardTask struct {
 // distCampaign is one distributed campaign in flight: the coordinator
 // side of a distribute call waiting for its shards.
 type distCampaign struct {
-	id        string
+	grid      *campaign.Grid
 	trace     string // correlates the campaign's spans and logs
 	parent    uint64 // span the campaign's lease spans parent to
 	remaining int
@@ -237,22 +236,19 @@ func shardCacheKey(shardID string) string {
 	return Key([]byte("shard"), []byte(shardID))
 }
 
-// distribute runs one campaign of `size` cells split into up to `shards`
-// ranges across the federation and returns the merged, globally ordered
-// results. grid non-nil federates a self-contained grid campaign (and
-// flows each shard through the content-addressed result cache — cached
-// shards complete without ever being leased, completed shards are stored
-// for the next sweep that contains them). grid nil federates an opaque
-// in-process campaign resolved by worker JobSources; those shards are
-// identified by campaignID and range and bypass the cache.
+// distribute runs a normalized grid split into up to `shards` ranges
+// across the federation and returns the merged, globally ordered
+// results. Each shard flows through the content-addressed result cache:
+// cached shards complete without ever being leased, and completed
+// shards are stored for the next sweep that contains them.
 //
 // The call blocks until every shard completes, a shard exhausts its
 // retries, or ctx is cancelled (remaining shards are withdrawn).
 //
 // trace correlates the campaign's spans and logs (see obs.NewTraceID);
 // parent, when nonzero, is the span every shard lease parents to.
-func (f *federation) distribute(ctx context.Context, campaignID, trace string, parent uint64, grid *campaign.Grid, size, shards int, onShard func(cellsDone int, shardID string)) ([]campaign.Result, error) {
-	if size == 0 {
+func (f *federation) distribute(ctx context.Context, trace string, parent uint64, grid *campaign.Grid, shards int, onShard func(cellsDone int, shardID string)) ([]campaign.Result, error) {
+	if grid.Size() == 0 {
 		return nil, nil
 	}
 	type planned struct {
@@ -260,39 +256,27 @@ func (f *federation) distribute(ctx context.Context, campaignID, trace string, p
 		lo, hi int
 		cached []campaign.Result
 	}
-	var plan []planned
-	if grid != nil {
-		gridShards, err := grid.Shards(shards)
-		if err != nil {
-			return nil, err
-		}
-		for _, sh := range gridShards {
-			p := planned{id: sh.ID(), lo: sh.Lo, hi: sh.Hi}
-			if data, ok := f.cache.Lookup(shardCacheKey(p.id)); ok {
-				var results []campaign.Result
-				if err := json.Unmarshal(data, &results); err == nil && len(results) == p.hi-p.lo {
-					p.cached = results
-				}
+	gridShards, err := grid.Shards(shards)
+	if err != nil {
+		return nil, err
+	}
+	plan := make([]planned, 0, len(gridShards))
+	for _, sh := range gridShards {
+		p := planned{id: sh.ID(), lo: sh.Lo, hi: sh.Hi}
+		if data, ok := f.cache.Lookup(shardCacheKey(p.id)); ok {
+			var results []campaign.Result
+			if err := json.Unmarshal(data, &results); err == nil && len(results) == p.hi-p.lo {
+				p.cached = results
 			}
-			// An entry that does not decode counts as the miss it is.
-			f.cache.Count(p.cached != nil)
-			f.obs.lookup("shard", p.cached != nil)
-			plan = append(plan, p)
 		}
-	} else {
-		ranges := campaign.Ranges(size, shards)
-		for i, r := range ranges {
-			// Dots only: shard IDs travel in result-post URL paths, where
-			// a slash would split the {id} segment.
-			plan = append(plan, planned{
-				id: fmt.Sprintf("%s.%d.%d", campaignID, i, len(ranges)),
-				lo: r[0], hi: r[1],
-			})
-		}
+		// An entry that does not decode counts as the miss it is.
+		f.cache.Count(p.cached != nil)
+		f.obs.lookup("shard", p.cached != nil)
+		plan = append(plan, p)
 	}
 
 	d := &distCampaign{
-		id:        campaignID,
+		grid:      grid,
 		trace:     trace,
 		parent:    parent,
 		remaining: len(plan),
@@ -311,7 +295,7 @@ func (f *federation) distribute(ctx context.Context, campaignID, trace string, p
 			sp.End("")
 			continue
 		}
-		t := &shardTask{id: p.id, dist: d, ordinal: i, grid: grid, lo: p.lo, hi: p.hi}
+		t := &shardTask{id: p.id, dist: d, ordinal: i, lo: p.lo, hi: p.hi}
 		f.tasks[p.id] = append(f.tasks[p.id], t)
 		f.pending = append(f.pending, t)
 	}
@@ -484,15 +468,14 @@ func (f *federation) lease(req LeaseRequest) (ShardLease, bool) {
 		t.span.Set("lo", strconv.Itoa(t.lo))
 		t.span.Set("hi", strconv.Itoa(t.hi))
 		return ShardLease{
-			LeaseID:  t.leaseID,
-			ShardID:  t.id,
-			Campaign: t.dist.id,
-			Grid:     t.grid,
-			Lo:       t.lo,
-			Hi:       t.hi,
-			TTLMS:    f.leaseClock.TTL().Milliseconds(),
-			Trace:    t.dist.trace,
-			Span:     t.span.ID(),
+			LeaseID: t.leaseID,
+			ShardID: t.id,
+			Grid:    t.dist.grid,
+			Lo:      t.lo,
+			Hi:      t.hi,
+			TTLMS:   f.leaseClock.TTL().Milliseconds(),
+			Trace:   t.dist.trace,
+			Span:    t.span.ID(),
 		}, true
 	}
 	return ShardLease{}, false
@@ -592,7 +575,7 @@ func (f *federation) result(shardID string, post ShardResultPost) (int, string) 
 	// worker's by determinism.
 	w.completed++
 	f.shardsCompleted++
-	if ts[0].grid != nil && campaign.FirstError(post.Results) == nil {
+	if campaign.FirstError(post.Results) == nil {
 		if data, err := json.Marshal(post.Results); err == nil {
 			f.cache.Put(shardCacheKey(shardID), data)
 		}

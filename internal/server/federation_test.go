@@ -31,6 +31,25 @@ func testFederation(ttl time.Duration, retryLimit int) *federation {
 	return newFederation(ttl, time.Minute, retryLimit, cache, testObs())
 }
 
+// tinyGrid is a normalized grid of n 2,000-instruction cells, one per
+// refresh period: the protocol tests post fake results for it, and a
+// real worker runs it in milliseconds.
+func tinyGrid(t *testing.T, n int) *campaign.Grid {
+	t.Helper()
+	g := campaign.Grid{Benchmarks: []string{"gzip"}, Instructions: 2000, Warmup: 500}
+	for i := 1; i <= n; i++ {
+		g.Refresh = append(g.Refresh, uint64(i)*100_000)
+	}
+	norm, err := g.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm.Size() != n {
+		t.Fatalf("tiny grid has %d cells, want %d", norm.Size(), n)
+	}
+	return &norm
+}
+
 // fakeResults builds a plausible shard result slice for cells [lo, hi).
 func fakeResults(lo, hi int) []campaign.Result {
 	out := make([]campaign.Result, 0, hi-lo)
@@ -41,17 +60,23 @@ func fakeResults(lo, hi int) []campaign.Result {
 }
 
 // TestFederationLeaseProtocol walks the happy path at the protocol
-// level: distribute queues shards, leases carry the range and campaign,
-// posting completes, and the merged results come back globally ordered.
+// level: distribute queues shards, leases carry the grid, range and
+// shard content address, posting completes, and the merged results come
+// back globally ordered.
 func TestFederationLeaseProtocol(t *testing.T) {
 	f := testFederation(time.Minute, 3)
+	grid := tinyGrid(t, 5)
+	shards, err := grid.Shards(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type done struct {
 		results []campaign.Result
 		err     error
 	}
 	doneCh := make(chan done, 1)
 	go func() {
-		results, err := f.distribute(context.Background(), "c-1", "", 0, nil, 5, 2, nil)
+		results, err := f.distribute(context.Background(), "", 0, grid, 2, nil)
 		doneCh <- done{results, err}
 	}()
 
@@ -67,8 +92,10 @@ func TestFederationLeaseProtocol(t *testing.T) {
 	if leases[0].Lo != 0 || leases[0].Hi != 3 || leases[1].Lo != 3 || leases[1].Hi != 5 {
 		t.Fatalf("lease ranges %+v, want [0,3) and [3,5)", leases)
 	}
-	if leases[0].Campaign != "c-1" || leases[0].Grid != nil {
-		t.Fatalf("lease %+v, want campaign c-1 without a grid", leases[0])
+	for i, lease := range leases {
+		if lease.Grid == nil || lease.ShardID != shards[i].ID() {
+			t.Fatalf("lease %d: grid %v, shard %s; want the grid and shard %s", i, lease.Grid, lease.ShardID, shards[i].ID())
+		}
 	}
 	if _, ok := f.lease(LeaseRequest{Worker: "w2"}); ok {
 		t.Fatal("a third lease appeared for a 2-shard campaign")
@@ -107,9 +134,10 @@ func TestFederationLeaseProtocol(t *testing.T) {
 func TestFederationExpiryRetriesAndFailure(t *testing.T) {
 	const ttl = 5 * time.Millisecond
 	f := testFederation(ttl, 2)
+	grid := tinyGrid(t, 2)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := f.distribute(context.Background(), "c-1", "", 0, nil, 2, 1, nil)
+		_, err := f.distribute(context.Background(), "", 0, grid, 1, nil)
 		errCh <- err
 	}()
 
@@ -154,13 +182,14 @@ func TestFederationExpiryRetriesAndFailure(t *testing.T) {
 func TestFederationRenewalKeepsSlowShardAlive(t *testing.T) {
 	const ttl = 40 * time.Millisecond
 	f := testFederation(ttl, 2)
+	grid := tinyGrid(t, 2)
 	type done struct {
 		results []campaign.Result
 		err     error
 	}
 	doneCh := make(chan done, 1)
 	go func() {
-		results, err := f.distribute(context.Background(), "c-1", "", 0, nil, 2, 1, nil)
+		results, err := f.distribute(context.Background(), "", 0, grid, 1, nil)
 		doneCh <- done{results, err}
 	}()
 	var lease ShardLease
@@ -209,7 +238,7 @@ func TestFederationMalformedResultRequeues(t *testing.T) {
 	f := testFederation(time.Minute, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel() // unblocks the distribute goroutine at test end
-	go f.distribute(ctx, "c-1", "", 0, nil, 4, 1, nil)
+	go f.distribute(ctx, "", 0, tinyGrid(t, 4), 1, nil)
 
 	var lease ShardLease
 	for {

@@ -157,8 +157,6 @@ type Server struct {
 	mux      *http.ServeMux
 	obs      *serverObs
 
-	nextCampaign atomic.Uint64 // Distribute campaign IDs
-
 	queue chan *job
 
 	mu       sync.Mutex
@@ -830,7 +828,7 @@ func (s *Server) runJob(j *job) {
 		j.start(nil)
 		s.obs.log.Info("job federating", "job", j.id, "trace", j.trace,
 			"cells", j.cells, "shards", s.cfg.Shards, "key", short(j.key))
-		results, err = s.fed.distribute(s.ctx, j.id, j.trace, span.ID(), &j.grid, j.cells, s.cfg.Shards,
+		results, err = s.fed.distribute(s.ctx, j.trace, span.ID(), &j.grid, s.cfg.Shards,
 			func(cellsDone int, shardID string) { j.shardProgress(cellsDone, shardID) })
 		if err == nil {
 			err = campaign.FirstError(results)
@@ -981,15 +979,13 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]string{"status": msg})
 }
 
-// Distribute federates an arbitrary campaign — `size` cells split into
-// up to `shards` leases — across this server's worker federation and
-// returns the merged, globally ordered results. grid non-nil ships
-// self-contained grid shards (content-addressed, cache-backed); grid nil
-// distributes an opaque job slice that workers resolve via their
-// JobSource under the returned campaign's generated ID, campaignID. The
-// servertest cluster routes experiments through this entry point.
-func (s *Server) Distribute(ctx context.Context, campaignID string, grid *campaign.Grid, size, shards int) ([]campaign.Result, error) {
-	return s.fed.distribute(ctx, campaignID, obs.NewTraceID(), 0, grid, size, shards, nil)
+// Distribute federates a normalized grid, split into up to `shards`
+// content-addressed, cache-backed leases, across this server's worker
+// federation and returns the merged, globally ordered results. Unlike
+// POST /v1/jobs it bypasses the whole-job cache, so only the shard cache
+// can answer a repeated grid.
+func (s *Server) Distribute(ctx context.Context, grid campaign.Grid, shards int) ([]campaign.Result, error) {
+	return s.fed.distribute(ctx, obs.NewTraceID(), 0, &grid, shards, nil)
 }
 
 // InstrumentWorker attaches this server's flight recorder and per-cell
@@ -1003,12 +999,6 @@ func (s *Server) InstrumentWorker(cfg *WorkerConfig) {
 	cfg.BatchSize = s.obs.batchSize
 	cfg.BatchedCells = s.obs.batchedCells
 	cfg.SingletonCells = s.obs.singletonCells
-}
-
-// NextCampaignID issues a fresh coordinator-unique campaign ID for
-// Distribute callers that federate opaque job slices.
-func (s *Server) NextCampaignID() string {
-	return fmt.Sprintf("c-%06d", s.nextCampaign.Add(1))
 }
 
 // FederationStats snapshots the coordinator: pending/leased shards,

@@ -28,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"paco/internal/campaign"
 	"paco/internal/server"
 )
 
@@ -66,10 +65,12 @@ type Config struct {
 	DropResultPosts int
 
 	// OnLease observes every lease granted to any cluster worker, before
-	// the worker starts executing it — the hook chaos tests use to kill
-	// a worker provably mid-shard. Called from worker goroutines; keep
-	// it quick and synchronized.
-	OnLease func(worker string, lease server.ShardLease)
+	// the worker starts executing it — the hook chaos tests use to hold
+	// a worker between its lease and its result, then kill it. ctx is
+	// the worker's context, which KillWorker cancels: a hook that holds
+	// its worker must return once ctx is done, or KillWorker waits
+	// forever. Called from worker goroutines; keep it synchronized.
+	OnLease func(ctx context.Context, worker string, lease server.ShardLease)
 
 	// SessionWorkers gives every worker its own session-serving HTTP
 	// sub-server, advertised to the coordinator through lease polls —
@@ -100,11 +101,10 @@ type Cluster struct {
 
 	drop *dropTransport
 
-	mu        sync.Mutex
-	campaigns map[string][]campaign.Job
-	workers   map[string]*workerHandle
-	nextW     int
-	closed    bool
+	mu      sync.Mutex
+	workers map[string]*workerHandle
+	nextW   int
+	closed  bool
 }
 
 type workerHandle struct {
@@ -166,13 +166,12 @@ func New(t testing.TB, cfg Config) *Cluster {
 	ts := httptest.NewServer(srv.Handler())
 
 	c := &Cluster{
-		t:         t,
-		cfg:       cfg,
-		Server:    srv,
-		HTTP:      ts,
-		drop:      &dropTransport{base: ts.Client().Transport, left: cfg.DropResultPosts},
-		campaigns: make(map[string][]campaign.Job),
-		workers:   make(map[string]*workerHandle),
+		t:       t,
+		cfg:     cfg,
+		Server:  srv,
+		HTTP:    ts,
+		drop:    &dropTransport{base: ts.Client().Transport, left: cfg.DropResultPosts},
+		workers: make(map[string]*workerHandle),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		c.StartWorker()
@@ -203,6 +202,7 @@ func (c *Cluster) StartWorker() string {
 	name := fmt.Sprintf("w%d", c.nextW)
 	c.mu.Unlock()
 
+	ctx, cancel := context.WithCancel(context.Background())
 	wcfg := server.WorkerConfig{
 		Coordinator: c.HTTP.URL,
 		Name:        name,
@@ -210,10 +210,9 @@ func (c *Cluster) StartWorker() string {
 		BatchK:      c.cfg.BatchK,
 		Poll:        c.cfg.Poll,
 		HTTPClient:  &http.Client{Transport: c.drop},
-		JobSource:   c.lookupJobs,
 		OnLease: func(lease server.ShardLease) {
 			if c.cfg.OnLease != nil {
-				c.cfg.OnLease(name, lease)
+				c.cfg.OnLease(ctx, name, lease)
 			}
 		},
 	}
@@ -232,6 +231,7 @@ func (c *Cluster) StartWorker() string {
 			FlightSpans:    256, // the worker's own session spans
 		})
 		if err != nil {
+			cancel()
 			c.t.Fatalf("servertest: building session server for %s: %v", name, err)
 		}
 		ss.Start()
@@ -244,9 +244,9 @@ func (c *Cluster) StartWorker() string {
 	c.Server.InstrumentWorker(&wcfg)
 	w, err := server.NewWorker(wcfg)
 	if err != nil {
+		cancel()
 		c.t.Fatalf("servertest: building worker %s: %v", name, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	h := &workerHandle{name: name, cancel: cancel, done: make(chan struct{}),
 		sessSrv: sessSrv, sessHTTP: sessHTTP}
 	go func() {
@@ -303,43 +303,6 @@ func (c *Cluster) Close() {
 	}
 	c.HTTP.Close()
 	c.Server.Close()
-}
-
-// Execute federates an arbitrary job slice across the cluster and
-// returns one result per job, in job order — the exact contract of
-// campaign.Run, which is why it plugs straight into
-// experiments.Config.Execute to run whole paper experiments through the
-// federation. The jobs stay in this process (workers resolve them
-// through a shared registry); the scheduling, leasing, result transport,
-// and merge all cross the real HTTP protocol.
-//
-// Jobs should be idempotent (standard simulation jobs are): chaos —
-// lease expiry, dropped posts — can legitimately execute a shard twice.
-func (c *Cluster) Execute(ctx context.Context, workers int, jobs []campaign.Job) ([]campaign.Result, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	_ = workers // execution parallelism lives in the cluster's workers
-	id := c.Server.NextCampaignID()
-	c.mu.Lock()
-	c.campaigns[id] = jobs
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.campaigns, id)
-		c.mu.Unlock()
-	}()
-	results, err := c.Server.Distribute(ctx, id, nil, len(jobs), c.cfg.Shards)
-	if err != nil {
-		return results, err
-	}
-	return results, campaign.FirstError(results)
-}
-
-func (c *Cluster) lookupJobs(campaignID string) []campaign.Job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.campaigns[campaignID]
 }
 
 // RunGrid submits a grid through the public POST /v1/jobs path, waits

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"paco/internal/campaign"
-	"paco/internal/experiments"
 	"paco/internal/server"
 	"paco/internal/server/servertest"
 )
@@ -107,7 +106,7 @@ func TestShardCacheCompletesWithoutLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Server.Distribute(context.Background(), "dist-a", &norm, norm.Size(), 2)
+	first, err := c.Server.Distribute(context.Background(), norm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestShardCacheCompletesWithoutLease(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("first Distribute granted no leases")
 	}
-	second, err := c.Server.Distribute(context.Background(), "dist-b", &norm, norm.Size(), 2)
+	second, err := c.Server.Distribute(context.Background(), norm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,65 +129,10 @@ func TestShardCacheCompletesWithoutLease(t *testing.T) {
 	}
 }
 
-// TestFederatedExperimentsByteIdentical is the determinism golden test:
-// whole paper experiments — fig2 and the robustness study, every
-// campaign they submit — run through a 3-worker federation and must
-// render reports byte-identical to plain experiments.Run. Runs under
-// -race in CI like everything else.
-func TestFederatedExperimentsByteIdentical(t *testing.T) {
-	for _, name := range []string{"fig2", "robustness"} {
-		t.Run(name, func(t *testing.T) {
-			cfg := experiments.Quick()
-			cfg.Workers = 2
-			var local bytes.Buffer
-			if err := experiments.Run(name, cfg, &local); err != nil {
-				t.Fatalf("local %s: %v", name, err)
-			}
-
-			c := servertest.New(t, servertest.Config{Workers: 3, SimWorkers: 1})
-			fcfg := cfg
-			fcfg.Execute = c.Execute
-			var federated bytes.Buffer
-			if err := experiments.Run(name, fcfg, &federated); err != nil {
-				t.Fatalf("federated %s: %v", name, err)
-			}
-			if !bytes.Equal(local.Bytes(), federated.Bytes()) {
-				t.Fatalf("%s report differs between local and federated execution\nlocal:\n%s\nfederated:\n%s",
-					name, local.String(), federated.String())
-			}
-		})
-	}
-}
-
-// chaosJobs builds a campaign of pure, idempotent Exec cells that block
-// until release closes (or their context dies) and then return a
-// deterministic result — the scaffolding that lets the chaos test hold
-// workers provably mid-shard.
-func chaosJobs(n int, release <-chan struct{}) []campaign.Job {
-	jobs := make([]campaign.Job, n)
-	for i := range jobs {
-		i := i
-		jobs[i] = campaign.Job{
-			ID:        fmt.Sprintf("chaos-%02d", i),
-			Benchmark: "chaos",
-			Exec: func(ctx context.Context) (*campaign.Result, error) {
-				select {
-				case <-release:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				r := &campaign.Result{
-					Benchmark: "chaos",
-					Cycles:    uint64(1000 + i),
-					IPC:       0.5 * float64(i+1),
-				}
-				r.SetExtra("cell", float64(i))
-				return r, nil
-			},
-		}
-	}
-	return jobs
-}
+// chaosSpec is the 12-cell grid the chaos test distributes: small
+// enough to run quickly under -race, large enough for six 2-cell shards.
+const chaosSpec = `{"benchmarks":["gzip","twolf","gcc"],"instructions":20000,"warmup":5000,` +
+	`"widths":[2,4],"prob_gates":[0.3,0.5]}`
 
 // TestChaosWorkerDeathAndDroppedPost kills a worker mid-shard AND drops
 // a result POST on the wire, then asserts the coordinator re-leases the
@@ -197,12 +141,11 @@ func chaosJobs(n int, release <-chan struct{}) []campaign.Job {
 // reusing the drain_test discipline — no goroutines leak.
 func TestChaosWorkerDeathAndDroppedPost(t *testing.T) {
 	before := runtime.NumGoroutine()
-
-	release := make(chan struct{})
-	jobs := chaosJobs(12, release)
+	want := localResultsJSON(t, chaosSpec, 1)
 
 	var mu sync.Mutex
-	leased := make(map[string]int) // worker -> leases granted
+	var victim, victimShard string
+	leasedTo := make(map[string][]string) // shard ID -> workers, in lease order
 	firstLease := make(chan string, 1)
 	c := servertest.New(t, servertest.Config{
 		Workers:         3,
@@ -210,43 +153,44 @@ func TestChaosWorkerDeathAndDroppedPost(t *testing.T) {
 		Shards:          6,
 		LeaseTTL:        100 * time.Millisecond,
 		DropResultPosts: 1,
-		OnLease: func(worker string, _ server.ShardLease) {
+		OnLease: func(ctx context.Context, worker string, lease server.ShardLease) {
 			mu.Lock()
-			leased[worker]++
+			leasedTo[lease.ShardID] = append(leasedTo[lease.ShardID], worker)
+			first := victim == ""
+			if first {
+				victim, victimShard = worker, lease.ShardID
+			}
 			mu.Unlock()
-			select {
-			case firstLease <- worker:
-			default:
+			if first {
+				// Hold the victim between its lease and its result until
+				// it is killed, so it provably dies mid-shard.
+				firstLease <- worker
+				<-ctx.Done()
 			}
 		},
 	})
 
 	type outcome struct {
-		results []campaign.Result
-		err     error
+		st  server.JobStatus
+		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		results, err := c.Execute(context.Background(), 1, jobs)
-		done <- outcome{results, err}
+		st, err := c.RunGrid(chaosSpec, 60*time.Second)
+		done <- outcome{st, err}
 	}()
 
-	// Kill the first worker to lease a shard while it is provably inside
-	// that shard (every cell blocks on release, so the worker cannot
-	// have finished).
-	var victim string
 	select {
-	case victim = <-firstLease:
+	case name := <-firstLease:
+		c.KillWorker(name)
 	case <-time.After(10 * time.Second):
 		t.Fatal("no lease was granted within 10s")
 	}
-	c.KillWorker(victim)
-	close(release)
 
 	var out outcome
 	select {
 	case out = <-done:
-	case <-time.After(30 * time.Second):
+	case <-time.After(90 * time.Second):
 		t.Fatal("federated campaign did not finish after the chaos")
 	}
 	if out.err != nil {
@@ -255,15 +199,12 @@ func TestChaosWorkerDeathAndDroppedPost(t *testing.T) {
 
 	// The report must be exactly what an undisturbed single-process run
 	// produces.
-	want, err := campaign.Run(context.Background(), 1, jobs)
+	got, err := c.ResultsJSON(out.st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotJSON, wantJSON bytes.Buffer
-	campaign.WriteJSON(&gotJSON, out.results)
-	campaign.WriteJSON(&wantJSON, want)
-	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
-		t.Fatalf("chaos changed the report:\n got: %s\nwant: %s", gotJSON.String(), wantJSON.String())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chaos changed the report:\n got: %.300s\nwant: %.300s", got, want)
 	}
 
 	// Both failure injections must actually have bitten: the killed
@@ -272,10 +213,10 @@ func TestChaosWorkerDeathAndDroppedPost(t *testing.T) {
 		t.Fatalf("federation retries = %d, want >= 2 (worker death + dropped POST)", stats.Retries)
 	}
 	mu.Lock()
-	victimLeases := leased[victim]
+	holders := leasedTo[victimShard]
 	mu.Unlock()
-	if victimLeases == 0 {
-		t.Fatal("victim worker recorded no leases")
+	if len(holders) < 2 || holders[len(holders)-1] == victim {
+		t.Fatalf("victim %s's shard was leased to %v, want a re-lease to another worker", victim, holders)
 	}
 
 	// Everything must drain: workers, coordinator pool, HTTP server.

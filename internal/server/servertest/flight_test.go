@@ -3,6 +3,7 @@ package servertest_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,44 +127,43 @@ func TestFederatedFlightTrace(t *testing.T) {
 // the abandoned attempt's lease span ends annotated with a retry
 // cause, and the re-leased attempt completes cleanly.
 func TestFlightRetryCause(t *testing.T) {
-	release := make(chan struct{})
-	jobs := chaosJobs(2, release)
+	const spec = `{"benchmarks":["gzip"],"instructions":20000,"warmup":5000,"widths":[2,4]}`
+	var held sync.Once
 	firstLease := make(chan string, 1)
 	c := servertest.New(t, servertest.Config{
 		Workers:    1,
 		SimWorkers: 1,
 		Shards:     1,
 		LeaseTTL:   100 * time.Millisecond,
-		OnLease: func(worker string, _ server.ShardLease) {
-			select {
-			case firstLease <- worker:
-			default:
-			}
+		OnLease: func(ctx context.Context, worker string, _ server.ShardLease) {
+			// Hold the first lease's worker until it is killed.
+			held.Do(func() {
+				firstLease <- worker
+				<-ctx.Done()
+			})
 		},
 	})
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Execute(context.Background(), 1, jobs)
+		_, err := c.RunGrid(spec, 60*time.Second)
 		done <- err
 	}()
 
-	var victim string
 	select {
-	case victim = <-firstLease:
+	case victim := <-firstLease:
+		c.KillWorker(victim)
 	case <-time.After(10 * time.Second):
 		t.Fatal("no lease was granted within 10s")
 	}
-	c.KillWorker(victim)
 	c.StartWorker()
-	close(release)
 
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("federated campaign failed: %v", err)
 		}
-	case <-time.After(30 * time.Second):
+	case <-time.After(90 * time.Second):
 		t.Fatal("federated campaign did not finish after the worker kill")
 	}
 

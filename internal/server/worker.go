@@ -65,13 +65,6 @@ type WorkerConfig struct {
 	// HTTPClient overrides the transport (tests inject chaos here).
 	HTTPClient *http.Client
 
-	// JobSource, when non-nil, resolves the job slice of in-process
-	// campaigns (leases without a grid): servertest federations register
-	// experiment job slices here. Shards of unknown campaigns are
-	// reported back as infrastructure failures. Grid leases never
-	// consult it.
-	JobSource func(campaignID string) []campaign.Job
-
 	// OnLease, when non-nil, observes every granted lease before
 	// execution starts — the hook chaos tests use to kill a worker
 	// provably mid-shard.
@@ -179,9 +172,9 @@ func (w *Worker) sleep(ctx context.Context) bool {
 
 // runLease executes one leased shard and posts its outcome. Execution
 // errors inside cells travel in the results (determinism: the same cell
-// fails identically anywhere); only infrastructure problems — unknown
-// campaign, range outside the job slice — are posted as shard errors so
-// the coordinator re-queues.
+// fails identically anywhere); only infrastructure problems — a lease
+// without a grid, a range outside it — are posted as shard errors so the
+// coordinator re-queues.
 func (w *Worker) runLease(ctx context.Context, lease ShardLease) {
 	// Renew the lease at TTL/3 while executing, so the coordinator can
 	// tell a slow shard from a dead worker: a shard may legitimately
@@ -231,27 +224,13 @@ func (w *Worker) runLease(ctx context.Context, lease ShardLease) {
 	}
 }
 
-// execute materializes the lease's job slice and runs it, re-indexing
-// results into the campaign's global cell space. parent is the worker's
-// execute span, which the campaign's per-cell spans parent to.
+// execute runs the lease's shard of its grid, with results indexed in
+// the grid's global cell space. parent is the worker's execute span,
+// which the campaign's per-cell spans parent to.
 func (w *Worker) execute(ctx context.Context, lease ShardLease, parent uint64) ([]campaign.Result, error) {
-	var jobs []campaign.Job
-	switch {
-	case lease.Grid != nil:
-		jobs = lease.Grid.Jobs()
-	case w.cfg.JobSource != nil:
-		jobs = w.cfg.JobSource(lease.Campaign)
-		if jobs == nil {
-			return nil, fmt.Errorf("unknown campaign %q", lease.Campaign)
-		}
-	default:
-		return nil, errors.New("lease carries no grid and worker has no job source")
+	if lease.Grid == nil {
+		return nil, errors.New("lease carries no grid")
 	}
-	if lease.Lo < 0 || lease.Hi > len(jobs) || lease.Lo >= lease.Hi {
-		return nil, fmt.Errorf("lease range [%d,%d) outside campaign's %d cells", lease.Lo, lease.Hi, len(jobs))
-	}
-	// Cell failures ride in the results; the campaign-level first-failure
-	// error is recomputed by the coordinator after the merge.
 	runner := &campaign.Runner{
 		Workers:        w.cfg.SimWorkers,
 		BatchK:         w.cfg.BatchK,
@@ -264,10 +243,13 @@ func (w *Worker) execute(ctx context.Context, lease ShardLease, parent uint64) (
 		BatchedCells:   w.cfg.BatchedCells,
 		SingletonCells: w.cfg.SingletonCells,
 	}
-	results, _ := runner.Run(ctx, jobs[lease.Lo:lease.Hi])
-	for i := range results {
-		results[i].Index = lease.Lo + i
+	shard := campaign.Shard{Grid: *lease.Grid, Lo: lease.Lo, Hi: lease.Hi}
+	results, err := shard.Run(ctx, runner)
+	if results == nil {
+		return nil, err
 	}
+	// Cell failures ride in the results; the campaign-level first-failure
+	// error is recomputed by the coordinator after the merge.
 	return results, nil
 }
 
