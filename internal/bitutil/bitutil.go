@@ -64,13 +64,21 @@ func (c *SatCounter) AtMax() bool { return c.value == c.max }
 func (c *SatCounter) MSB() bool { return c.value > c.max/2 }
 
 // CounterTable is a table of n-bit saturating counters (width 1..8)
-// stored one byte per counter, the size a hardware table of such counters
-// rounds up to. Counter i behaves exactly like a SatCounter of the same
-// width. Direction predictors and the JRS table are CounterTables; the
-// MRT's wider counters stay SatCounters.
+// packed at the smallest power-of-two slot width that holds one: 1-bit
+// counters eight to a byte, 2-bit counters four, 3- and 4-bit counters
+// two, wider counters one. That is the size a hardware table of such
+// counters occupies. Counter i behaves exactly like a SatCounter of the
+// same width. Direction predictors and the JRS table are CounterTables;
+// the MRT's wider counters stay SatCounters.
+//
+// Counter i starts at bit i<<slotLog of the packed bit string: in byte
+// bit>>3, at offset bit&7. A slot never straddles a byte, because the
+// slot width divides 8. The methods mask slotLog with 3, so the compiler
+// sees every shift bounded and emits bare shift instructions.
 type CounterTable struct {
-	counters []uint8
-	max      uint8
+	packed  []uint8
+	slotLog uint8 // log2 of the slot width in bits: 0..3
+	max     uint8 // the saturation value, and the mask of one counter
 }
 
 // NewCounterTable returns a table of entries counters of the given width
@@ -79,42 +87,63 @@ func NewCounterTable(entries int, widthBits uint, initial uint32) CounterTable {
 	if widthBits == 0 || widthBits > 8 {
 		panic("bitutil: CounterTable width out of range")
 	}
-	t := CounterTable{counters: make([]uint8, entries), max: uint8(1<<widthBits - 1)}
+	slotLog := uint8(bits.Len(widthBits - 1)) // 1→0, 2→1, 3..4→2, 5..8→3
+	t := CounterTable{
+		packed:  make([]uint8, (entries<<slotLog+7)>>3),
+		slotLog: slotLog,
+		max:     uint8(1<<widthBits - 1),
+	}
 	v := uint8(min(initial, uint32(t.max)))
-	for i := range t.counters {
-		t.counters[i] = v
+	var fill uint8 // v replicated into every slot of a byte
+	for off := 0; off < 8; off += 1 << slotLog {
+		fill |= v << off
+	}
+	for i := range t.packed {
+		t.packed[i] = fill
 	}
 	return t
 }
 
 // Inc increments counter i, saturating at the maximum.
 func (t *CounterTable) Inc(i uint64) {
-	if t.counters[i] < t.max {
-		t.counters[i]++
+	bit := i << (t.slotLog & 3)
+	if b := &t.packed[bit>>3]; *b>>(bit&7)&t.max != t.max {
+		*b += 1 << (bit & 7)
 	}
 }
 
 // Dec decrements counter i, saturating at zero.
 func (t *CounterTable) Dec(i uint64) {
-	if t.counters[i] > 0 {
-		t.counters[i]--
+	bit := i << (t.slotLog & 3)
+	if b := &t.packed[bit>>3]; *b>>(bit&7)&t.max != 0 {
+		*b -= 1 << (bit & 7)
 	}
 }
 
 // Reset sets counter i to zero.
-func (t *CounterTable) Reset(i uint64) { t.counters[i] = 0 }
+func (t *CounterTable) Reset(i uint64) {
+	bit := i << (t.slotLog & 3)
+	t.packed[bit>>3] &^= t.max << (bit & 7)
+}
 
 // Set forces counter i to v (clamped to range).
-func (t *CounterTable) Set(i uint64, v uint32) { t.counters[i] = uint8(min(v, uint32(t.max))) }
+func (t *CounterTable) Set(i uint64, v uint32) {
+	bit := i << (t.slotLog & 3)
+	b := &t.packed[bit>>3]
+	*b = *b&^(t.max<<(bit&7)) | uint8(min(v, uint32(t.max)))<<(bit&7)
+}
 
 // Value returns counter i's current count.
-func (t *CounterTable) Value(i uint64) uint32 { return uint32(t.counters[i]) }
+func (t *CounterTable) Value(i uint64) uint32 {
+	bit := i << (t.slotLog & 3)
+	return uint32(t.packed[bit>>3] >> (bit & 7) & t.max)
+}
 
 // AtMax reports whether counter i is saturated high.
-func (t *CounterTable) AtMax(i uint64) bool { return t.counters[i] == t.max }
+func (t *CounterTable) AtMax(i uint64) bool { return t.Value(i) == uint32(t.max) }
 
 // MSB reports counter i's most significant bit, as SatCounter.MSB.
-func (t *CounterTable) MSB(i uint64) bool { return t.counters[i] > t.max/2 }
+func (t *CounterTable) MSB(i uint64) bool { return t.Value(i) > uint32(t.max>>1) }
 
 // LogScale is the fixed-point scale of encoded probabilities: the paper
 // multiplies -log2(p) by 1024 (Equation 3).

@@ -1,5 +1,7 @@
 package branch
 
+import "math/bits"
+
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 // It predicts the target of taken branches, indirect jumps and calls.
 // Indirect control flow mispredicts whenever the stored target differs from
@@ -7,17 +9,19 @@ package branch
 // paper. Badpath fills pollute the BTB, which is one of the pollution
 // effects the paper observes conservative gating removing.
 type BTB struct {
-	entries []btbEntry // set s is entries[s*ways : (s+1)*ways]
-	setMask uint64
-	ways    int
-	lruTick uint64 // strictly increasing recency stamp
+	entries  []btbEntry // set s is entries[s*ways : (s+1)*ways]
+	setMask  uint64
+	tagShift uint // bits of pc>>2 the set index uses
+	ways     int
+	lruTick  uint64 // strictly increasing recency stamp
 
 	lookups uint64
 	hits    uint64
 }
 
+// btbEntry is 24 bytes. touch stamps from 1, so lru == 0 marks an
+// invalid entry.
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
 	lru    uint64 // higher = more recently used
@@ -31,15 +35,16 @@ func NewBTB(entries, ways int) *BTB {
 	}
 	setCount := nextPow2(entries / ways)
 	return &BTB{
-		entries: make([]btbEntry, setCount*ways),
-		setMask: uint64(setCount - 1),
-		ways:    ways,
+		entries:  make([]btbEntry, setCount*ways),
+		setMask:  uint64(setCount - 1),
+		tagShift: uint(bits.Len(uint(setCount - 1))),
+		ways:     ways,
 	}
 }
 
 func (b *BTB) setFor(pc uint64) ([]btbEntry, uint64) {
 	base := int((pc>>2)&b.setMask) * b.ways
-	tag := pc >> 2 >> uint64(len64(b.setMask))
+	tag := pc >> 2 >> b.tagShift
 	return b.entries[base : base+b.ways : base+b.ways], tag
 }
 
@@ -48,7 +53,7 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	b.lookups++
 	set, tag := b.setFor(pc)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].lru != 0 && set[i].tag == tag {
 			b.hits++
 			b.touch(set, i)
 			return set[i].target, true
@@ -63,12 +68,12 @@ func (b *BTB) Insert(pc, target uint64) {
 	set, tag := b.setFor(pc)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].lru != 0 && set[i].tag == tag {
 			set[i].target = target
 			b.touch(set, i)
 			return
 		}
-		if !set[i].valid {
+		if set[i].lru == 0 {
 			victim = i
 			break
 		}
@@ -76,7 +81,7 @@ func (b *BTB) Insert(pc, target uint64) {
 			victim = i
 		}
 	}
-	set[victim] = btbEntry{valid: true, tag: tag, target: target}
+	set[victim] = btbEntry{tag: tag, target: target}
 	b.touch(set, victim)
 }
 
@@ -120,13 +125,4 @@ func (r *RAS) Pop() uint64 {
 	addr := r.entries[r.top]
 	r.top = (r.top - 1 + r.depth) % r.depth
 	return addr
-}
-
-func len64(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		n++
-		mask >>= 1
-	}
-	return n
 }

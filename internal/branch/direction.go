@@ -1,6 +1,10 @@
 package branch
 
-import "paco/internal/bitutil"
+import (
+	"math/bits"
+
+	"paco/internal/bitutil"
+)
 
 // A DirectionPredictor predicts conditional branch directions. Predict is
 // called at fetch with the branch PC and the current speculative global
@@ -91,7 +95,8 @@ type Tournament struct {
 
 // TournamentConfig sizes the three component tables in entries. The paper's
 // configuration is 32KB each of 2-bit counters: 128K entries per table, with
-// 8 bits of global history.
+// 8 bits of global history. Each table is a bitutil.CounterTable, which
+// packs four 2-bit counters to a byte, so 128K entries occupy 32 KiB.
 type TournamentConfig struct {
 	GshareEntries   int
 	BimodalEntries  int
@@ -100,8 +105,8 @@ type TournamentConfig struct {
 
 // DefaultTournamentConfig is the paper's Table 6 predictor: a 96KB hybrid
 // made of 32KB gshare + 32KB bimodal + 32KB selector, i.e. 128K 2-bit
-// counters per table. The simulator stores each 2-bit counter in one
-// byte (bitutil.CounterTable), so the same tables occupy 384KiB here.
+// counters per table. The counters are packed four to a byte, so the
+// tables occupy the paper's 96 KiB here too.
 func DefaultTournamentConfig() TournamentConfig {
 	const entriesPer32KB = 32 * 1024 * 4 // 4 two-bit counters per byte
 	return TournamentConfig{
@@ -157,9 +162,5 @@ func nextPow2(n int) int {
 	if n <= 1 {
 		return 1
 	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	return 1 << bits.Len(uint(n-1))
 }

@@ -6,6 +6,8 @@
 // goodpath from badpath accesses.
 package cache
 
+import "math/bits"
+
 // Cache is one set-associative cache level with LRU replacement.
 type Cache struct {
 	name      string
@@ -23,14 +25,19 @@ type Cache struct {
 	badEvictions uint64 // goodpath-touched lines evicted by badpath fills
 }
 
-// line packs into 24 bytes: the two words first, then the three flags.
+// line is 16 bytes: the tag and a recency stamp that also carries the
+// line's two flags. stamp is tick<<1 | goodUsed, where tick is the
+// cache's lruTick at the line's last touch and goodUsed records a
+// goodpath touch since the fill. Ticks start at 1, so stamp == 0 marks
+// an invalid line. Ticks are unique within a cache and only increase, so
+// stamps order lines exactly as their ticks do.
 type line struct {
-	tag      uint64
-	lru      uint64
-	valid    bool
-	badFill  bool // line was filled by a badpath access
-	goodUsed bool // line has been touched by a goodpath access
+	tag   uint64
+	stamp uint64
 }
+
+// goodUsed is the stamp bit set once a goodpath access touches the line.
+const goodUsed = 1
 
 // Config sizes one cache level.
 type Config struct {
@@ -50,17 +57,13 @@ func New(cfg Config) *Cache {
 	if setCount < 1 || setCount&(setCount-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineSize {
-		shift++
-	}
 	return &Cache{
 		name:      cfg.Name,
 		lines:     make([]line, setCount*cfg.Ways),
 		ways:      cfg.Ways,
 		setMask:   uint64(setCount - 1),
-		lineShift: shift,
-		tagShift:  uint(popcount(uint64(setCount - 1))),
+		lineShift: uint(bits.Len(uint(cfg.LineSize - 1))),
+		tagShift:  uint(bits.OnesCount64(uint64(setCount - 1))),
 	}
 }
 
@@ -76,44 +79,44 @@ func (c *Cache) Access(addr uint64, badpath bool) bool {
 	set := c.lines[base : base+c.ways : base+c.ways]
 	tag := blk >> c.tagShift
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.touch(set, i)
-			if !badpath {
-				set[i].goodUsed = true
-			}
+		if set[i].stamp != 0 && set[i].tag == tag {
+			c.touch(&set[i], badpath)
 			return true
 		}
 	}
 	c.misses++
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].stamp == 0 {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
 	if badpath {
 		c.badFills++
-		if set[victim].valid && set[victim].goodUsed {
+		if set[victim].stamp&goodUsed != 0 {
 			c.badEvictions++
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, badFill: badpath, goodUsed: !badpath}
-	c.touch(set, victim)
+	set[victim] = line{tag: tag}
+	c.touch(&set[victim], badpath)
 	return false
 }
 
-// touch stamps line i as the set's most recently used. A cache-wide
-// strictly increasing tick replaces the seed's max-scan-plus-one: both
-// schemes assign a value strictly greater than every live line's stamp,
-// so the recency order — and therefore every LRU victim choice — is
-// identical, without the O(ways) scan per access.
-func (c *Cache) touch(set []line, i int) {
+// touch stamps l as its set's most recently used, keeping its goodUsed
+// bit and setting it on a goodpath access. The cache-wide tick only
+// increases, so the stamp exceeds every live line's and LRU order stays
+// exact without scanning the set.
+func (c *Cache) touch(l *line, badpath bool) {
 	c.lruTick++
-	set[i].lru = c.lruTick
+	stamp := c.lruTick<<1 | l.stamp&goodUsed
+	if !badpath {
+		stamp |= goodUsed
+	}
+	l.stamp = stamp
 }
 
 // Stats reports lifetime counters.
@@ -144,15 +147,6 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.misses) / float64(c.accesses)
-}
-
-func popcount(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		n += int(mask & 1)
-		mask >>= 1
-	}
-	return n
 }
 
 // Hierarchy is the two-level hierarchy of Table 6 with fixed per-level miss

@@ -134,13 +134,16 @@ func TestBatchRunZeroAllocs(t *testing.T) {
 }
 
 // maxCoreBytes bounds the heap one default core allocates at construction.
-// The predictor, JRS table, caches and BTB store about 0.6 MiB of state.
-const maxCoreBytes = 1 << 20
+// The predictor (96 KiB of 2-bit counters), the JRS table (8 KiB of 4-bit
+// MDCs), the caches (76 KiB of 16-byte lines) and the BTB (48 KiB) store
+// 228 KiB of state; with the rest of the core, New allocates 247,761
+// bytes.
+const maxCoreBytes = 256 << 10
 
 // TestCoreNewFootprint pins the construction footprint of New(DefaultConfig())
-// under maxCoreBytes, so a counter table that regrows past one byte per
-// counter, or a per-set allocation, fails here rather than in a sweep's
-// resident memory.
+// under maxCoreBytes, so a counter table that regrows past its packed
+// width, a cache line or BTB entry that regrows a flag, or a per-set
+// allocation, fails here rather than in a sweep's resident memory.
 func TestCoreNewFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	best := uint64(math.MaxUint64)
