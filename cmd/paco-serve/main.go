@@ -121,7 +121,7 @@ func configFromFlags(args []string) (*options, error) {
 	c := &o.cfg
 	fs.StringVar(&o.addr, "addr", ":8344", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&c.JobWorkers, "jobworkers", 2, "campaigns executing concurrently")
-	fs.IntVar(&c.SimWorkers, "j", 0, "campaign worker pool per job (0 = GOMAXPROCS)")
+	fs.IntVar(&c.SimWorkers, "j", 0, "campaign worker pool per job or experiment report (0 = GOMAXPROCS)")
 	fs.IntVar(&c.BatchK, "batch", 0, "batched lockstep width for campaign cells (0 = default 8, 1 = unbatched; results are byte-identical either way)")
 	fs.IntVar(&c.QueueSize, "queue", 64, "bounded job queue size")
 	cacheMB := fs.Int64("cache-mb", 64, "content-addressed cache budget in MiB")

@@ -37,13 +37,6 @@ func (c *SatCounter) Inc() {
 	}
 }
 
-// Dec decrements the counter, saturating at zero.
-func (c *SatCounter) Dec() {
-	if c.value > 0 {
-		c.value--
-	}
-}
-
 // Reset sets the counter to zero.
 func (c *SatCounter) Reset() { c.value = 0 }
 
@@ -53,15 +46,8 @@ func (c *SatCounter) Set(v uint32) { c.value = min(v, c.max) }
 // Value returns the current count.
 func (c *SatCounter) Value() uint32 { return c.value }
 
-// Max returns the saturation value.
-func (c *SatCounter) Max() uint32 { return c.max }
-
 // AtMax reports whether the counter is saturated high.
 func (c *SatCounter) AtMax() bool { return c.value == c.max }
-
-// MSB reports the counter's most significant bit — the "predict taken" bit
-// of a 2-bit direction counter.
-func (c *SatCounter) MSB() bool { return c.value > c.max/2 }
 
 // CounterTable is a table of n-bit saturating counters (width 1..8)
 // packed at the smallest power-of-two slot width that holds one: 1-bit
@@ -126,23 +112,14 @@ func (t *CounterTable) Reset(i uint64) {
 	t.packed[bit>>3] &^= t.max << (bit & 7)
 }
 
-// Set forces counter i to v (clamped to range).
-func (t *CounterTable) Set(i uint64, v uint32) {
-	bit := i << (t.slotLog & 3)
-	b := &t.packed[bit>>3]
-	*b = *b&^(t.max<<(bit&7)) | uint8(min(v, uint32(t.max)))<<(bit&7)
-}
-
 // Value returns counter i's current count.
 func (t *CounterTable) Value(i uint64) uint32 {
 	bit := i << (t.slotLog & 3)
 	return uint32(t.packed[bit>>3] >> (bit & 7) & t.max)
 }
 
-// AtMax reports whether counter i is saturated high.
-func (t *CounterTable) AtMax(i uint64) bool { return t.Value(i) == uint32(t.max) }
-
-// MSB reports counter i's most significant bit, as SatCounter.MSB.
+// MSB reports counter i's most significant bit: the "predict taken" bit
+// of a 2-bit direction counter.
 func (t *CounterTable) MSB(i uint64) bool { return t.Value(i) > uint32(t.max>>1) }
 
 // LogScale is the fixed-point scale of encoded probabilities: the paper
@@ -173,13 +150,6 @@ func Log2Fixed(v uint32) uint32 {
 		fracFixed = frac >> (k - 10)
 	}
 	return k*LogScale + fracFixed
-}
-
-// Log2Error returns the absolute error of Log2Fixed at v, in log2 units.
-// Mitchell's approximation under-estimates by at most ~0.0861; helper for
-// tests and documentation.
-func Log2Error(v uint32) float64 {
-	return math.Log2(float64(v)) - float64(Log2Fixed(v))/LogScale
 }
 
 // EncodeRate converts a (correct, mispredict) counter pair into the paper's

@@ -119,7 +119,7 @@ func TestTournamentSelectsBetterComponent(t *testing.T) {
 
 func TestTournamentBiasedAccuracy(t *testing.T) {
 	tp := NewTournament(DefaultTournamentConfig())
-	r := rng.New(11)
+	r := rng.NewStream(11, 0)
 	pc := uint64(0x1234)
 	misses := 0
 	const n = 20000
@@ -244,7 +244,7 @@ func BenchmarkTournament(b *testing.B) {
 		history uint32
 		taken   bool
 	}
-	r := rng.New(5)
+	r := rng.NewStream(5, 0)
 	pcs := make([]uint64, 1024)
 	bias := make([]rng.Threshold, len(pcs))
 	for k := range pcs {

@@ -36,9 +36,6 @@ func (h *History) Push(taken bool) {
 // Value returns the current history bits.
 func (h *History) Value() uint32 { return h.bits }
 
-// Width returns the configured width in bits.
-func (h *History) Width() uint { return h.width }
-
 // Checkpoint captures the current history for later restore.
 func (h *History) Checkpoint() uint32 { return h.bits }
 

@@ -141,14 +141,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// MissRate returns misses/accesses, or 0 for an untouched cache.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
 // Hierarchy is the two-level hierarchy of Table 6 with fixed per-level miss
 // costs: an L1 miss that hits L2 costs L1MissPenalty; an L2 miss costs an
 // additional L2MissPenalty.

@@ -59,15 +59,16 @@ func TestBadpathPollutionAccounting(t *testing.T) {
 	}
 }
 
+// TestMissRate: two accesses to one line are one miss in two accesses.
 func TestMissRate(t *testing.T) {
 	c := small()
 	c.Access(0, false)
 	c.Access(0, false)
-	if got := c.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate %v", got)
+	if st := c.Stats(); st.Accesses != 2 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 2 accesses and 1 miss", st)
 	}
-	if New(Config{Name: "x", SizeKB: 1, Ways: 1, LineSize: 64}).MissRate() != 0 {
-		t.Fatal("untouched cache miss rate must be 0")
+	if st := New(Config{Name: "x", SizeKB: 1, Ways: 1, LineSize: 64}).Stats(); st.Accesses != 0 || st.Misses != 0 {
+		t.Fatalf("untouched cache stats %+v", st)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestPerceptronHistorySensitivity(t *testing.T) {
 
 func TestPerceptronBucketRange(t *testing.T) {
 	p := NewPerceptron(PerceptronConfig{Entries: 64, HistoryBits: 8, WeightMax: 31})
-	r := rng.New(17)
+	r := rng.NewStream(17, 0)
 	for i := 0; i < 20000; i++ {
 		pc := uint64(r.Intn(1024)) * 4
 		hist := r.Uint32() & 0xFF
@@ -84,7 +84,7 @@ func TestPerceptronDefaultsApplied(t *testing.T) {
 // a strictly higher confidence bucket.
 func TestPerceptronStratifiesRates(t *testing.T) {
 	p := NewPerceptron(DefaultPerceptronConfig())
-	r := rng.New(23)
+	r := rng.NewStream(23, 0)
 	easy, hard := uint64(0x100), uint64(0x2040)
 	hist := uint32(0)
 	for i := 0; i < 5000; i++ {

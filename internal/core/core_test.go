@@ -47,7 +47,7 @@ func TestPaCoIgnoresNonConditional(t *testing.T) {
 // matching resolves/squashes returns the sum to zero.
 func TestPaCoSumDrainsToZero(t *testing.T) {
 	p := NewPaCo(PaCoConfig{})
-	r := rng.New(42)
+	r := rng.NewStream(42, 0)
 	if err := quick.Check(func(seed uint32) bool {
 		var live []Contribution
 		for i := 0; i < 50; i++ {
@@ -77,7 +77,7 @@ func TestPaCoSumDrainsToZero(t *testing.T) {
 // check the refreshed table orders and approximates them.
 func TestPaCoLearnsBucketRates(t *testing.T) {
 	p := NewPaCo(PaCoConfig{RefreshPeriod: 1000})
-	r := rng.New(7)
+	r := rng.NewStream(7, 0)
 	for i := 0; i < 20000; i++ {
 		p.BranchRetired(condEvent(0), !r.Bool(0.40))
 		p.BranchRetired(condEvent(8), !r.Bool(0.05))
@@ -157,7 +157,7 @@ func TestPaCoCustomInitialTable(t *testing.T) {
 
 func TestMRTHalvingPreservesRate(t *testing.T) {
 	m := NewMRT()
-	r := rng.New(9)
+	r := rng.NewStream(9, 0)
 	// Feed far more samples than the 6-bit mispredict counter holds.
 	for i := 0; i < 5000; i++ {
 		m.Record(0, !r.Bool(0.25))
@@ -245,7 +245,7 @@ func TestStaticMRTFixedTable(t *testing.T) {
 
 func TestPerBranchMRTLearnsPerBranch(t *testing.T) {
 	p := NewPerBranchMRT(1024)
-	r := rng.New(13)
+	r := rng.NewStream(13, 0)
 	good := BranchEvent{PC: 0x100, History: 0, Conditional: true}
 	bad := BranchEvent{PC: 0x204, History: 0, Conditional: true}
 	for i := 0; i < 4000; i++ {
@@ -290,7 +290,7 @@ func TestAllEstimatorsDrain(t *testing.T) {
 		NewStaticMRT(nil),
 		NewPerBranchMRT(256),
 	}
-	r := rng.New(21)
+	r := rng.NewStream(21, 0)
 	for _, e := range ests {
 		var live []Contribution
 		for i := 0; i < 500; i++ {

@@ -60,11 +60,6 @@ func (m *MRT) Counts(mdc uint32) (correct, mispred uint32) {
 	return m.correct[mdc].Value(), m.mispred[mdc].Value()
 }
 
-// Samples returns the total number of observations in a bucket.
-func (m *MRT) Samples(mdc uint32) uint32 {
-	return m.correct[mdc].Value() + m.mispred[mdc].Value()
-}
-
 // Encode runs the log circuit over one bucket, producing the paper's 12-bit
 // encoded correct-prediction probability. ok is false when the bucket holds
 // no samples (the caller keeps the previous encoding, per our DESIGN.md

@@ -54,14 +54,8 @@ func NewBatch(spec *workload.Spec) (*Batch, error) {
 	return &Batch{tape: tape}, nil
 }
 
-// Tape returns the shared stream (diagnostics).
-func (b *Batch) Tape() *workload.Tape { return b.tape }
-
 // K returns the number of lanes (cores) attached.
 func (b *Batch) K() int { return len(b.cores) }
-
-// Core returns lane i's core.
-func (b *Batch) Core(i int) *Core { return b.cores[i] }
 
 // Attach adds a core as a batch lane: it gains one thread with the given
 // estimators, and the returned thread id mirrors AddThread's. The first

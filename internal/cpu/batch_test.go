@@ -64,7 +64,7 @@ func TestBatchMatchesSingleton(t *testing.T) {
 	const warmup, measure = 20_000, 60_000
 	shapes := laneShapes()
 
-	spec := workload.MustBenchmark("gzip")
+	spec := benchmark(t, "gzip")
 	b, err := NewBatch(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBatchMatchesSingleton(t *testing.T) {
 	b.Run(measure)
 
 	for i, sh := range shapes {
-		single, tid := buildLane(t, nil, workload.MustBenchmark("gzip"), sh)
+		single, tid := buildLane(t, nil, benchmark(t, "gzip"), sh)
 		single.Run(warmup, 0)
 		single.ResetStats()
 		single.Run(measure, 0)
@@ -104,7 +104,7 @@ func TestBatchMergedEstimators(t *testing.T) {
 	const warmup, measure = 20_000, 60_000
 	refreshes := []uint64{50_000, 100_000, 200_000}
 
-	spec := workload.MustBenchmark("twolf")
+	spec := benchmark(t, "twolf")
 	b, err := NewBatch(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestBatchMergedEstimators(t *testing.T) {
 			t.Fatal(err)
 		}
 		paco := core.NewPaCo(core.PaCoConfig{RefreshPeriod: r})
-		tid, err := single.AddThread(workload.MustBenchmark("twolf"), []core.Estimator{paco})
+		tid, err := single.AddThread(benchmark(t, "twolf"), []core.Estimator{paco})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestBatchMergedEstimators(t *testing.T) {
 // the second one — the first that would move lane 0 onto a cursor — so
 // a failure must leave the batch exactly one lane on the walker.
 func TestBatchAttachTooManyEstimators(t *testing.T) {
-	b, err := NewBatch(workload.MustBenchmark("gzip"))
+	b, err := NewBatch(benchmark(t, "gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBatchAttachTooManyEstimators(t *testing.T) {
 func TestBatchOfOneIsCore(t *testing.T) {
 	const warmup, measure = 20_000, 60_000
 	for _, sh := range laneShapes() {
-		b, err := NewBatch(workload.MustBenchmark("gzip"))
+		b, err := NewBatch(benchmark(t, "gzip"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestBatchOfOneIsCore(t *testing.T) {
 		lane.ResetStats()
 		b.Run(measure)
 
-		single, tid := buildLane(t, nil, workload.MustBenchmark("gzip"), sh)
+		single, tid := buildLane(t, nil, benchmark(t, "gzip"), sh)
 		single.Run(warmup, 0)
 		single.ResetStats()
 		single.Run(measure, 0)
@@ -228,7 +228,7 @@ func TestBatchOfOneIsCore(t *testing.T) {
 func TestBatchAttachAfterRunPanics(t *testing.T) {
 	shapes := laneShapes()
 	for lanes := 1; lanes <= 2; lanes++ {
-		b, err := NewBatch(workload.MustBenchmark("gzip"))
+		b, err := NewBatch(benchmark(t, "gzip"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestBatchAttachAfterRunPanics(t *testing.T) {
 // lanes (two passive refresh configs merged on one core plus two gated
 // cores) advanced 4000 goodpath instructions per op.
 func BenchmarkBatchRun(b *testing.B) {
-	spec := workload.MustBenchmark("gzip")
+	spec := benchmark(b, "gzip")
 	bt, err := NewBatch(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -290,7 +290,7 @@ func BenchmarkBatchRun(b *testing.B) {
 // plain Core on the tape's walker, advanced 4000 goodpath instructions
 // per op.
 func BenchmarkBatchRunOne(b *testing.B) {
-	bt, err := NewBatch(workload.MustBenchmark("gzip"))
+	bt, err := NewBatch(benchmark(b, "gzip"))
 	if err != nil {
 		b.Fatal(err)
 	}

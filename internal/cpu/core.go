@@ -219,9 +219,6 @@ func (c *Core) SetChooser(choose func(cycle uint64, fetchable []int) int) { c.ch
 // paper's "instances" (footnotes 6-7).
 func (c *Core) SetProbe(probe func(tid int, goodpath bool)) { c.probe = probe }
 
-// Cycle returns the current cycle number.
-func (c *Core) Cycle() uint64 { return c.cycle }
-
 // InFlight returns the number of in-flight instructions of a thread
 // (the ICOUNT policy input).
 func (c *Core) InFlight(tid int) int { return c.threads[tid].inFlight() }
@@ -231,12 +228,6 @@ func (c *Core) Threads() int { return len(c.threads) }
 
 // Walker exposes a thread's workload walker (diagnostics).
 func (c *Core) Walker(tid int) *workload.Walker { return c.threads[tid].walker }
-
-// Memory exposes the cache hierarchy (diagnostics).
-func (c *Core) Memory() *cache.Hierarchy { return c.mem }
-
-// BTB exposes the branch target buffer (diagnostics).
-func (c *Core) BTB() *branch.BTB { return c.btb }
 
 // Run simulates until every thread has retired at least goodInstrs
 // goodpath instructions (or maxCycles elapses, if non-zero). It returns the

@@ -14,7 +14,7 @@ func TestDiagClassRates(t *testing.T) {
 		t.Skip("diagnostic sweep")
 	}
 	for _, name := range workload.BenchmarkNames {
-		spec := workload.MustBenchmark(name)
+		spec := benchmark(t, name)
 		c, err := New(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

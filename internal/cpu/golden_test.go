@@ -46,7 +46,7 @@ func runGolden(t *testing.T, bench string) goldenRun {
 		t.Fatal(err)
 	}
 	paco := core.NewPaCo(core.PaCoConfig{RefreshPeriod: goldenRefresh})
-	tid, err := c.AddThread(workload.MustBenchmark(bench), []core.Estimator{paco, core.NewCountPredictor(3)})
+	tid, err := c.AddThread(benchmark(t, bench), []core.Estimator{paco, core.NewCountPredictor(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

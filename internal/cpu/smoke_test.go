@@ -14,7 +14,7 @@ func TestSmokeAllBenchmarks(t *testing.T) {
 	for _, name := range workload.BenchmarkNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			spec := workload.MustBenchmark(name)
+			spec := benchmark(t, name)
 			c, err := New(DefaultConfig())
 			if err != nil {
 				t.Fatal(err)

@@ -286,6 +286,7 @@ func TestRobustness(t *testing.T) {
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
+	byName := make(map[string]RobustnessRow, len(r.Rows))
 	for _, row := range r.Rows {
 		if row.PaCoRMS <= 0 || row.PaCoRMS > 0.5 {
 			t.Fatalf("%s: PaCo RMS %.4f implausible", row.Scenario, row.PaCoRMS)
@@ -293,9 +294,9 @@ func TestRobustness(t *testing.T) {
 		if row.JRSCountRMS <= 0 || row.PerceptronRMS <= 0 {
 			t.Fatalf("%s: zero column in %+v", row.Scenario, row)
 		}
+		byName[row.Scenario] = row
 	}
-	adv, _ := r.Row("adversarial-mdc")
-	loopy, _ := r.Row("loopy")
+	adv, loopy := byName["adversarial-mdc"], byName["loopy"]
 	// The families bracket difficulty: the adversarial population must
 	// mispredict far more than the floor case.
 	if adv.CondMR <= loopy.CondMR {

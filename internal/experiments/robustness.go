@@ -215,16 +215,6 @@ func (r *Robustness) Table() *metrics.Table {
 	return t
 }
 
-// Row returns the named scenario's row, if present.
-func (r *Robustness) Row(name string) (RobustnessRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == name {
-			return row, true
-		}
-	}
-	return RobustnessRow{}, false
-}
-
 // RobustnessReport writes the full study.
 func RobustnessReport(cfg Config, w io.Writer) error {
 	r, err := RunRobustness(cfg, nil)

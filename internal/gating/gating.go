@@ -84,6 +84,3 @@ func (g *ProbGate) ShouldGate() bool { return g.paco.EncodedSum() > g.threshold 
 
 // PaCo exposes the underlying estimator (diagnostics).
 func (g *ProbGate) PaCo() *core.PaCo { return g.paco }
-
-// Target returns the configured goodpath probability target.
-func (g *ProbGate) Target() float64 { return g.target }

@@ -55,7 +55,7 @@ func TestProbGate(t *testing.T) {
 	if !g.ShouldGate() {
 		t.Fatal("gate never engaged as confidence collapsed")
 	}
-	if p.GoodpathProb() >= g.Target() {
+	if p.GoodpathProb() >= 0.20 {
 		t.Fatalf("gated while decoded probability %.3f >= target", p.GoodpathProb())
 	}
 	for _, c := range contribs {

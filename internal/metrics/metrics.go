@@ -137,19 +137,6 @@ func (r *Reliability) Resolution() float64 {
 	return math.Sqrt(sum / float64(n))
 }
 
-// ObservedAt returns the observed goodpath probability (0..1) of the bin
-// at the given predicted percent, and the bin occupancy.
-func (r *Reliability) ObservedAt(predictedPercent int) (float64, uint64) {
-	if predictedPercent < 0 || predictedPercent >= ReliabilityBins {
-		return 0, 0
-	}
-	c := r.count[predictedPercent]
-	if c == 0 {
-		return 0, 0
-	}
-	return float64(r.good[predictedPercent]) / float64(c), c
-}
-
 // HMWIPC returns the harmonic mean of weighted IPCs (Equation 6):
 // N / sum(SingleIPC_i / IPC_i). singleIPC and smtIPC must be parallel,
 // non-empty, positive slices.
@@ -223,18 +210,6 @@ func (t *Table) String() string {
 	b.WriteByte('\n')
 	for _, r := range t.rows {
 		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.header, ","))
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -43,7 +43,7 @@ type family interface {
 
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Register families at construction time (methods
-// panic on duplicate names — a programming error); Observe/Set/Add from
+// panic on duplicate names — a programming error); Observe/Add from
 // any goroutine; render with WritePrometheus.
 type Registry struct {
 	mu       sync.Mutex
@@ -222,54 +222,6 @@ func (c *Counter) Value() uint64 {
 
 func (c *Counter) meta() (string, string, string) { return c.name, c.help, "counter" }
 func (c *Counter) write(w *bufio.Writer)          { writeSample(w, c.name, "", float64(c.v.Load())) }
-
-// Gauge is a settable float64 metric.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Gauge registers and returns a gauge family with one unlabeled series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta with a CAS loop. Nil-safe.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) meta() (string, string, string) { return g.name, g.help, "gauge" }
-func (g *Gauge) write(w *bufio.Writer) {
-	writeSample(w, g.name, "", math.Float64frombits(g.bits.Load()))
-}
 
 // funcFamily backs CounterFunc/GaugeFunc/Func: samples are produced by a
 // callback at scrape time, so the instrumented code never pushes.

@@ -20,8 +20,7 @@ func TestRegistryRendering(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "Operations.")
 	c.Add(3)
-	g := r.Gauge("test_depth", "Depth.")
-	g.Set(2.5)
+	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
 	r.GaugeFunc("test_live", "Live.", func() float64 { return 7 })
 	v := r.CounterVec("test_outcomes_total", "Outcomes.", "status")
 	v.With("ok").Add(2)
@@ -56,21 +55,15 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("registering a duplicate family did not panic")
 		}
 	}()
-	r.Gauge("dup_total", "y.")
+	r.GaugeFunc("dup_total", "y.", func() float64 { return 0 })
 }
 
-func TestCounterGaugeNilSafe(t *testing.T) {
+func TestCounterHistogramNilSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
-	}
-	var g *Gauge
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has a value")
 	}
 	var h *Histogram
 	h.Observe(1)

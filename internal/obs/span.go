@@ -144,10 +144,6 @@ func (r *Recorder) Start(trace, kind, name string, parent uint64) Span {
 	}
 }
 
-// Enabled reports whether the span records anywhere — check it before
-// formatting expensive attribute values.
-func (s *Span) Enabled() bool { return s.rec != nil }
-
 // ID returns the span's ID (0 when disabled), for parenting children.
 func (s *Span) ID() uint64 { return s.id }
 

@@ -39,11 +39,12 @@ func TestSampleAndQueryCounterRates(t *testing.T) {
 
 func TestQueryGaugeRollups(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("depth", "queue depth")
+	var depth float64
+	reg.GaugeFunc("depth", "queue depth", func() float64 { return depth })
 	st := New(Config{Registry: reg, Points: 16})
 
 	for _, v := range []float64{3, 1, 7, 5} {
-		g.Set(v)
+		depth = v
 		st.SampleNow()
 	}
 	out := st.Query(Query{Family: "depth"})
@@ -62,11 +63,12 @@ func TestQueryGaugeRollups(t *testing.T) {
 
 func TestRingWrapKeepsNewest(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("v", "v")
+	var val float64
+	reg.GaugeFunc("v", "v", func() float64 { return val })
 	st := New(Config{Registry: reg, Points: 4})
 
 	for i := 0; i < 10; i++ {
-		g.Set(float64(i))
+		val = float64(i)
 		st.SampleNow()
 	}
 	out := st.Query(Query{Family: "v"})
@@ -151,14 +153,14 @@ func TestMaxSeriesBudget(t *testing.T) {
 
 func TestSincePrunesOldPoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("v", "v")
+	val := 1.0
+	reg.GaugeFunc("v", "v", func() float64 { return val })
 	st := New(Config{Registry: reg, Points: 16})
 
-	g.Set(1)
 	st.SampleNow()
 	cut := time.Now().Add(time.Millisecond)
 	time.Sleep(2 * time.Millisecond)
-	g.Set(2)
+	val = 2
 	st.SampleNow()
 
 	out := st.Query(Query{Family: "v", Since: cut})
@@ -173,7 +175,6 @@ func TestSincePrunesOldPoints(t *testing.T) {
 func TestConcurrentSampleQuery(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("c", "c")
-	g := reg.Gauge("g", "g")
 	h := reg.Histogram("h", "h", []float64{1, 10})
 	v := reg.CounterVec("cv", "cv", "k")
 	st := New(Config{Registry: reg, Points: 32})
@@ -191,7 +192,6 @@ func TestConcurrentSampleQuery(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Add(1)
 				h.Observe(2)
 				v.With("x").Inc()
 				st.SampleNow()
@@ -221,7 +221,7 @@ func TestConcurrentSampleQuery(t *testing.T) {
 
 func TestStartCloseLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Gauge("v", "v").Set(1)
+	reg.GaugeFunc("v", "v", func() float64 { return 1 })
 	st := New(Config{Registry: reg, Interval: time.Millisecond, Points: 8})
 	st.Start()
 	st.Start() // idempotent
@@ -251,13 +251,11 @@ func TestStartCloseLifecycle(t *testing.T) {
 func TestSamplingAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("c_total", "c")
-	g := reg.Gauge("g", "g")
 	h := reg.Histogram("h", "h", []float64{0.1, 1, 10})
 	cv := reg.CounterVec("cv_total", "cv", "route")
 	hv := reg.HistogramVec("hv", "hv", "stage", []float64{1, 10})
 
 	c.Add(3)
-	g.Set(2)
 	h.Observe(0.5)
 	cv.With("/a").Inc()
 	cv.With("/b").Inc()

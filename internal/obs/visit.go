@@ -3,7 +3,7 @@ package obs
 // Scrape-free sampling: VisitSamples walks every registered family and
 // hands the visitor one SeriesSample per live series. It is the
 // foundation the tsdb package samples through — unlike WritePrometheus
-// it renders nothing, and for push-based instruments (Counter, Gauge,
+// it renders nothing, and for push-based instruments (Counter,
 // CounterVec, Histogram, HistogramVec) the walk performs zero
 // allocations in steady state: label strings are cached when a series
 // is created, samples are passed by value, and no intermediate slices
@@ -48,10 +48,6 @@ func (r *Registry) VisitSamples(v SampleVisitor) {
 
 func (c *Counter) visit(v SampleVisitor) {
 	v.Sample(SeriesSample{Family: c.name, Type: "counter", Value: float64(c.v.Load())})
-}
-
-func (g *Gauge) visit(v SampleVisitor) {
-	v.Sample(SeriesSample{Family: g.name, Type: "gauge", Value: g.Value()})
 }
 
 func (f *funcFamily) visit(v SampleVisitor) {

@@ -12,7 +12,6 @@ func (c *collectVisitor) Sample(s SeriesSample) { c.got = append(c.got, s) }
 func TestVisitSamplesCoversEveryFamilyKind(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
 	r.GaugeFunc("gf", "gf", func() float64 { return 42 })
 	r.Func("f", "counter", "f", func(emit func(v float64, labels ...Label)) {
 		emit(7, L("k", "v"))
@@ -22,7 +21,6 @@ func TestVisitSamplesCoversEveryFamilyKind(t *testing.T) {
 	hv := r.HistogramVec("hv", "hv", "stage", []float64{1, 10})
 
 	c.Add(5)
-	g.Set(2.5)
 	cv.With("/b").Add(2)
 	cv.With("/a").Inc()
 	h.Observe(3)
@@ -43,7 +41,6 @@ func TestVisitSamplesCoversEveryFamilyKind(t *testing.T) {
 		hist bool
 	}{
 		{"c_total", "counter", 5, false},
-		{"g", "gauge", 2.5, false},
 		{"gf", "gauge", 42, false},
 		{`f{k="v"}`, "counter", 7, false},
 		{`cv_total{route="/a"}`, "counter", 1, false},
@@ -79,12 +76,10 @@ func TestVisitSamplesCoversEveryFamilyKind(t *testing.T) {
 func TestVisitSamplesAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
 	cv := r.CounterVec("cv_total", "cv", "route")
 	h := r.Histogram("h", "h", []float64{1, 10})
 	hv := r.HistogramVec("hv", "hv", "stage", []float64{1, 10})
 	c.Inc()
-	g.Set(1)
 	cv.With("/a").Inc()
 	h.Observe(1)
 	hv.With("x").Observe(1)

@@ -14,7 +14,7 @@ import (
 	"sort"
 )
 
-// RNG is a PCG32 generator. The zero value is not valid; use New.
+// RNG is a PCG32 generator. The zero value is not valid; use NewStream.
 type RNG struct {
 	state uint64
 	inc   uint64 // stream selector; must be odd
@@ -27,13 +27,6 @@ const (
 	// s·M² + inc·(M+1) = (s·M + inc)·M + inc, exact in uint64 arithmetic.
 	pcgMultiplier2 = pcgMultiplier * pcgMultiplier % (1 << 64)
 )
-
-// New returns a generator seeded from seed on the default stream.
-func New(seed uint64) *RNG {
-	r := &RNG{}
-	r.Seed(seed, 0)
-	return r
-}
 
 // NewStream returns a generator seeded from seed on the given stream.
 // Generators with the same seed but different streams produce independent
@@ -51,12 +44,6 @@ func (r *RNG) Seed(seed, stream uint64) {
 	r.Uint32()
 	r.state += seed
 	r.Uint32()
-}
-
-// Fork returns a new generator deterministically derived from r's current
-// state, advancing r. Forked generators evolve independently.
-func (r *RNG) Fork() *RNG {
-	return NewStream(r.Uint64(), r.Uint64())
 }
 
 // output is PCG32's output permutation of the state a step starts from.
@@ -230,6 +217,3 @@ func (w *WeightedChoice) Sample(r *RNG) int {
 	// The first cumulative weight exceeding x; the last index if none does.
 	return sort.Search(len(w.cum)-1, func(i int) bool { return w.cum[i] > x })
 }
-
-// Len reports the number of choices.
-func (w *WeightedChoice) Len() int { return len(w.cum) }

@@ -71,7 +71,7 @@ func summarizeBranchStats(t *testing.T, spec *workload.Spec) branchStatsGolden {
 func TestBranchStatsGolden(t *testing.T) {
 	got := map[string]branchStatsGolden{}
 	for _, name := range []string{"gzip", "gcc", "perlbmk"} {
-		got[name] = summarizeBranchStats(t, workload.MustBenchmark(name))
+		got[name] = summarizeBranchStats(t, benchmark(t, name))
 	}
 	spec, err := Scenario{Family: "server", Seed: 7}.Compile()
 	if err != nil {

@@ -69,10 +69,7 @@ func TestFamiliesCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
-		for i := 0; i < 60_000; i++ {
-			w.Next()
-		}
-		if w.KindCount(workload.KindBranch) == 0 {
+		if kinds, _ := walkCount(w, 60_000); kinds[workload.KindBranch] == 0 {
 			t.Fatalf("%s: no conditional branches", f.Name)
 		}
 	}
@@ -122,7 +119,7 @@ func TestProgramSizeBounds(t *testing.T) {
 }
 
 func TestFamilySignatures(t *testing.T) {
-	walk := func(sc Scenario, n int) *workload.Walker {
+	walk := func(sc Scenario, n int) (map[workload.Kind]uint64, int) {
 		spec, err := sc.Compile()
 		if err != nil {
 			t.Fatal(err)
@@ -131,24 +128,19 @@ func TestFamilySignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			w.Next()
-		}
-		return w
+		return walkCount(w, n)
 	}
 	// interpreter: indirect dispatch dominates other control transfers.
-	w := walk(Scenario{Family: "interpreter"}, 100_000)
-	if ind, br := w.KindCount(workload.KindIndirect), w.KindCount(workload.KindBranch); ind == 0 || ind < br/8 {
+	kinds, _ := walk(Scenario{Family: "interpreter"}, 100_000)
+	if ind, br := kinds[workload.KindIndirect], kinds[workload.KindBranch]; ind == 0 || ind < br/8 {
 		t.Fatalf("interpreter: indirect %d vs branch %d — dispatch not hot", ind, br)
 	}
 	// phase-thrash: alternates phases at the configured period.
-	w = walk(Scenario{Family: "phase-thrash", Params: map[string]float64{"period": 5000}}, 60_000)
-	if w.PhaseSwitches() < 8 {
-		t.Fatalf("phase-thrash: only %d phase switches in 60k instructions", w.PhaseSwitches())
+	if _, switches := walk(Scenario{Family: "phase-thrash", Params: map[string]float64{"period": 5000}}, 60_000); switches < 8 {
+		t.Fatalf("phase-thrash: only %d phase switches in 60k instructions", switches)
 	}
 	// loopy: stays in one phase, branch-heavy and loop-dominated.
-	w = walk(Scenario{Family: "loopy"}, 60_000)
-	if w.PhaseSwitches() != 0 {
+	if _, switches := walk(Scenario{Family: "loopy"}, 60_000); switches != 0 {
 		t.Fatalf("loopy switched phases")
 	}
 }
@@ -197,14 +189,14 @@ func TestBaseScenarioMatchesBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench := workload.MustBenchmark("gzip")
+	bench := benchmark(t, "gzip")
 	if spec.Seed != bench.Seed {
 		t.Fatalf("base scenario seed %#x, benchmark seed %#x", spec.Seed, bench.Seed)
 	}
 	ws, _ := workload.NewWalker(spec)
 	wb, _ := workload.NewWalker(bench)
 	for i := 0; i < 5000; i++ {
-		if a, b := ws.Next(), wb.Next(); a != b {
+		if a, b := next(ws), next(wb); a != b {
 			t.Fatalf("instruction %d diverged from the benchmark stream", i)
 		}
 	}
@@ -370,7 +362,7 @@ func TestOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twolf := workload.MustBenchmark("twolf")
+	twolf := benchmark(t, "twolf")
 	got := normalizeMixWeights(spec.Phases[0].Mix)
 	want := normalizeMixWeights(twolf.Phases[0].Mix)
 	if math.Abs(got.Noisy-want.Noisy) > 1e-12 || math.Abs(got.Biased-want.Biased) > 1e-12 {
@@ -411,7 +403,7 @@ func TestCompileDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5000; i++ {
-			streams[round] = append(streams[round], w.Next())
+			streams[round] = append(streams[round], next(w))
 		}
 	}
 	for i := range streams[0] {
@@ -448,7 +440,7 @@ func TestFuzzerDeterminism(t *testing.T) {
 		wa, _ := workload.NewWalker(sa)
 		wb, _ := workload.NewWalker(sb)
 		for k := 0; k < 2000; k++ {
-			ia, ib := wa.Next(), wb.Next()
+			ia, ib := next(wa), next(wb)
 			if ia != ib {
 				t.Fatalf("scenario %d instruction %d diverged", i, k)
 			}
@@ -482,4 +474,36 @@ func TestMarshalCanonical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("equivalent scenarios canonicalize apart:\n%s\n%s", a, b)
 	}
+}
+
+// benchmark returns the named benchmark model, failing t if there is none.
+func benchmark(t testing.TB, name string) *workload.Spec {
+	t.Helper()
+	spec, err := workload.NewBenchmark(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// next returns w's next goodpath instruction.
+func next(w *workload.Walker) (ins workload.Instruction) {
+	w.NextInto(&ins)
+	return ins
+}
+
+// walkCount advances w by n goodpath instructions and returns how many of
+// each kind it produced, and how many times its phase changed.
+func walkCount(w *workload.Walker, n int) (map[workload.Kind]uint64, int) {
+	kinds := make(map[workload.Kind]uint64)
+	switches, phase := 0, w.Phase()
+	var ins workload.Instruction
+	for range n {
+		w.NextInto(&ins)
+		kinds[ins.Kind]++
+		if p := w.Phase(); p != phase {
+			switches, phase = switches+1, p
+		}
+	}
+	return kinds, switches
 }

@@ -40,8 +40,9 @@ func streamHash(t *testing.T, spec *workload.Spec, n int) string {
 	}
 	h := sha256.New()
 	var buf [2 + 8*8]byte // Kind and Taken, then eight 8-byte fields
+	var ins workload.Instruction
 	for i := 0; i < n; i++ {
-		ins := w.Next()
+		w.NextInto(&ins)
 		b := buf[:0]
 		b = binary.LittleEndian.AppendUint64(b, ins.PC)
 		b = append(b, byte(ins.Kind))
@@ -70,7 +71,7 @@ func streamHash(t *testing.T, spec *workload.Spec, n int) string {
 func TestStreamGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, name := range workload.BenchmarkNames {
-		got[name] = streamHash(t, workload.MustBenchmark(name), streamGoldenInstrs)
+		got[name] = streamHash(t, benchmark(t, name), streamGoldenInstrs)
 	}
 	for _, fs := range streamGoldenFuzz {
 		scs, err := fs.Generate()

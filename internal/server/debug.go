@@ -71,11 +71,6 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, report)
 }
 
-// Flight exposes the server's span recorder (nil when Config.FlightSpans
-// is negative) — servertest wires in-process federation workers to it so
-// a whole cluster records into one flight recorder.
-func (s *Server) Flight() *obs.Recorder { return s.obs.rec }
-
 // handleLogLevel is GET/PUT /debug/loglevel: read or set the level the
 // structured logger filters by. The PUT body is either a bare level
 // name ("debug") or {"level": "debug"}. Only available when the server

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -124,6 +125,57 @@ func TestFederationLeaseProtocol(t *testing.T) {
 	// Duplicate post: benign 410.
 	if code, _ := f.result(leases[0].ShardID, ShardResultPost{Worker: "w2", Results: fakeResults(0, 3)}); code != 410 {
 		t.Fatalf("duplicate post returned %d, want 410", code)
+	}
+}
+
+// TestShardCacheCompletesWithoutLease: shards are individually
+// content-addressed, so a campaign whose shards already ran completes
+// from the shard cache without granting a single new lease, and merges
+// the same results.
+func TestShardCacheCompletesWithoutLease(t *testing.T) {
+	f := testFederation(time.Minute, 3)
+	grid := tinyGrid(t, 5)
+	firstCh := make(chan []campaign.Result, 1)
+	go func() {
+		results, err := f.distribute(context.Background(), "", 0, grid, 2, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		firstCh <- results
+	}()
+	for posted := 0; posted < 2; {
+		lease, ok := f.lease(LeaseRequest{Worker: "w1"})
+		if !ok {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if code, msg := f.result(lease.ShardID, ShardResultPost{
+			LeaseID: lease.LeaseID, Worker: "w1", Results: fakeResults(lease.Lo, lease.Hi),
+		}); code != 200 {
+			t.Fatalf("posting shard [%d,%d): %d %s", lease.Lo, lease.Hi, code, msg)
+		}
+		posted++
+	}
+	first := <-firstCh
+	completed := f.stats().ShardsCompleted
+	if completed != 2 {
+		t.Fatalf("first campaign completed %d shards, want 2", completed)
+	}
+	second, err := f.distribute(context.Background(), "", 0, grid, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.stats().ShardsCompleted; got != completed {
+		t.Fatalf("second campaign re-leased cached shards: %d -> %d", completed, got)
+	}
+	if _, ok := f.lease(LeaseRequest{Worker: "w2"}); ok {
+		t.Fatal("a cached campaign left a shard to lease")
+	}
+	var a, b bytes.Buffer
+	campaign.WriteJSON(&a, first)
+	campaign.WriteJSON(&b, second)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("cached shard results differ from the executed run")
 	}
 }
 

@@ -205,7 +205,7 @@ func TestFlightEndpoint(t *testing.T) {
 			t.Errorf("cell span %s parented to %d, want job span %d", sp.Name, sp.Parent, jobID)
 		}
 	}
-	if got := s.Flight().Active(); got != 0 {
+	if got := s.obs.rec.Active(); got != 0 {
 		t.Errorf("%d spans still active after job completion", got)
 	}
 

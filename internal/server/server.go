@@ -47,8 +47,9 @@ import (
 type Config struct {
 	// JobWorkers bounds campaigns executing concurrently (default 2).
 	JobWorkers int
-	// SimWorkers is the campaign worker-pool size each job runs with
-	// (default runtime.GOMAXPROCS(0)).
+	// SimWorkers is the campaign worker-pool size each job and each
+	// experiment report runs with (default runtime.GOMAXPROCS(0)). An
+	// Experiments config with its own Workers keeps them.
 	SimWorkers int
 	// BatchK is the batched lockstep width for locally executed
 	// campaigns: cells sharing one instruction stream run up to BatchK
@@ -167,9 +168,10 @@ type Server struct {
 	inflight map[string]*job // content key -> executing/queued job
 	nextID   uint64
 
-	// expSem bounds concurrently executing experiment reports so the
-	// GET /v1/experiments path cannot bypass the worker-pool admission
-	// bounds.
+	// expSem bounds experiment reports executing at once to JobWorkers,
+	// each on SimWorkers simulation goroutines, as a job runs. It is a
+	// pool of its own beside the job workers: reports do not queue
+	// behind jobs, nor jobs behind reports.
 	expSem chan struct{}
 
 	// Experiment report single-flight.
@@ -223,6 +225,9 @@ func New(cfg Config) (*Server, error) {
 	expCfg := experiments.Default()
 	if cfg.Experiments != nil {
 		expCfg = *cfg.Experiments
+	}
+	if expCfg.Workers <= 0 {
+		expCfg.Workers = cfg.SimWorkers
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -979,15 +984,6 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]string{"status": msg})
 }
 
-// Distribute federates a normalized grid, split into up to `shards`
-// content-addressed, cache-backed leases, across this server's worker
-// federation and returns the merged, globally ordered results. Unlike
-// POST /v1/jobs it bypasses the whole-job cache, so only the shard cache
-// can answer a repeated grid.
-func (s *Server) Distribute(ctx context.Context, grid campaign.Grid, shards int) ([]campaign.Result, error) {
-	return s.fed.distribute(ctx, obs.NewTraceID(), 0, &grid, shards, nil)
-}
-
 // InstrumentWorker attaches this server's flight recorder and per-cell
 // histograms to a worker config, so an in-process federation (servertest,
 // or a worker embedded next to its coordinator) records worker-side
@@ -1070,9 +1066,8 @@ func (s *Server) experimentReport(name string) ([]byte, error) {
 
 // runExpFlight executes one experiment for its single-flight leader.
 // The flight is always settled and removed — even if the experiment
-// panics — so followers can never block on a wedged flight; the
-// semaphore keeps report execution within the worker-pool bounds
-// instead of one-campaign-per-request.
+// panics — so followers can never block on a wedged flight; expSem
+// bounds how many reports execute at once.
 func (s *Server) runExpFlight(name, key string, f *expFlight) {
 	defer func() {
 		if p := recover(); p != nil {

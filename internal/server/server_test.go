@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -252,6 +253,42 @@ func TestExperimentByteIdenticalToCLI(t *testing.T) {
 	}
 	if s.CacheStats().Hits != hitsBefore+1 {
 		t.Fatalf("second GET not served from cache: hits %d -> %d", hitsBefore, s.CacheStats().Hits)
+	}
+}
+
+// TestExperimentRunsAtSimWorkers: a report runs its simulations on the
+// server's SimWorkers pool size, as a job does, unless the experiment
+// config sets its own.
+func TestExperimentRunsAtSimWorkers(t *testing.T) {
+	var mu sync.Mutex
+	var got []int
+	quick := experiments.Quick()
+	quick.Execute = func(ctx context.Context, workers int, jobs []campaign.Job) ([]campaign.Result, error) {
+		mu.Lock()
+		got = append(got, workers)
+		mu.Unlock()
+		r := campaign.Runner{Workers: workers, BatchK: campaign.DefaultBatchK}
+		return r.Run(ctx, jobs)
+	}
+	_, ts := testServer(t, Config{SimWorkers: 1, Experiments: &quick})
+	resp, err := http.Get(ts.URL + "/v1/experiments/fig3a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/experiments/fig3a = %d", resp.StatusCode)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) == 0 {
+		t.Fatal("the report submitted no simulation jobs")
+	}
+	for _, w := range got {
+		if w != 1 {
+			t.Fatalf("report ran its jobs on %v workers, want 1 (SimWorkers)", got)
+		}
 	}
 }
 

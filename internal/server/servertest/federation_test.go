@@ -92,43 +92,6 @@ func TestFederatedGridByteIdenticalAnyTopology(t *testing.T) {
 	}
 }
 
-// TestShardCacheCompletesWithoutLease: shards are individually
-// content-addressed, so a campaign whose shards already ran — here via a
-// direct Distribute that bypasses the whole-job cache — completes from
-// the shard cache without granting a single new lease.
-func TestShardCacheCompletesWithoutLease(t *testing.T) {
-	c := servertest.New(t, servertest.Config{Workers: 2, Shards: 2})
-	var grid campaign.Grid
-	if err := json.Unmarshal([]byte(gridSpec), &grid); err != nil {
-		t.Fatal(err)
-	}
-	norm, err := grid.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Server.Distribute(context.Background(), norm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := c.Server.FederationStats().ShardsCompleted
-	if completed == 0 {
-		t.Fatal("first Distribute granted no leases")
-	}
-	second, err := c.Server.Distribute(context.Background(), norm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Server.FederationStats().ShardsCompleted; got != completed {
-		t.Fatalf("second Distribute re-leased cached shards: %d -> %d", completed, got)
-	}
-	var a, b bytes.Buffer
-	campaign.WriteJSON(&a, first)
-	campaign.WriteJSON(&b, second)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("cached shard results differ from the executed run")
-	}
-}
-
 // chaosSpec is the 12-cell grid the chaos test distributes: small
 // enough to run quickly under -race, large enough for six 2-cell shards.
 const chaosSpec = `{"benchmarks":["gzip","twolf","gcc"],"instructions":20000,"warmup":5000,` +

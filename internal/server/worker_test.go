@@ -96,7 +96,7 @@ func TestWorkerRejectsInvalidLease(t *testing.T) {
 
 			dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer dcancel()
-			results, err := s.Distribute(dctx, *tinyGrid(t, 2), 1)
+			results, err := s.fed.distribute(dctx, "", 0, tinyGrid(t, 2), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

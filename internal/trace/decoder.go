@@ -58,21 +58,6 @@ func (d *Decoder) Restore(s DecoderState) {
 	d.rem = append(d.rem[:0], s.rem[:s.nrem]...)
 }
 
-// HeaderDone reports whether the stream header has been fully parsed,
-// after which Version and Provenance are meaningful.
-func (d *Decoder) HeaderDone() bool { return d.headerDone }
-
-// Version returns the stream's header version (0 until HeaderDone).
-func (d *Decoder) Version() uint32 { return d.version }
-
-// Provenance returns the v2 header's canonical scenario hash (zero for
-// v1 streams, non-scenario traces, or before HeaderDone).
-func (d *Decoder) Provenance() [provenanceSize]byte { return d.provenance }
-
-// Buffered reports how many undecoded bytes the decoder is holding —
-// always less than a header or record.
-func (d *Decoder) Buffered() int { return len(d.rem) }
-
 // Feed consumes one chunk, calling emit for every event completed by its
 // bytes. A decode error (bad magic, unsupported version, unknown event
 // kind) or an error returned by emit stops the feed and is returned;

@@ -148,9 +148,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return tr, nil
 }
 
-// FormatVersion returns the stream's header version.
-func (tr *Reader) FormatVersion() uint32 { return tr.version }
-
 // Provenance returns the header's canonical scenario hash; the zero
 // value means the trace was not scenario-driven (or is version 1).
 func (tr *Reader) Provenance() [provenanceSize]byte { return tr.provenance }

@@ -176,8 +176,8 @@ func (m BranchMix) weights() []float64 {
 // half is a fair coin, prepared once.
 var half = rng.NewThreshold(0.5)
 
-// fork seeds dst exactly as r.Fork() seeds the generator it returns,
-// without allocating one.
+// fork seeds dst from two draws of r, its seed and its stream, so dst
+// evolves independently of r.
 func fork(dst, r *rng.RNG) { dst.Seed(r.Uint64(), r.Uint64()) }
 
 // newBranch samples one static branch of class cls from the mix: its

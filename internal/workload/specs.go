@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BenchmarkNames lists the SPEC2000 INT benchmarks the paper evaluates
 // (all but eon, which its toolchain could not compile), in the paper's
@@ -30,26 +27,6 @@ func NewBenchmark(name string) (*Spec, error) {
 func IsBenchmark(name string) bool {
 	_, ok := specs[name]
 	return ok
-}
-
-// MustBenchmark is NewBenchmark for known-good names; it panics on error.
-func MustBenchmark(name string) *Spec {
-	s, err := NewBenchmark(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// RegisteredNames returns all registry names, sorted (the named SPEC models
-// plus any test registrations).
-func RegisteredNames() []string {
-	names := make([]string, 0, len(specs))
-	for n := range specs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // base returns a spec with the structural defaults shared by all models;
@@ -106,19 +83,6 @@ func register(s *Spec) {
 		panic(err)
 	}
 	specs[s.Name] = s
-}
-
-// Register adds a custom benchmark spec to the registry (for tests and
-// downstream users building their own workloads).
-func Register(s *Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if _, dup := specs[s.Name]; dup {
-		return fmt.Errorf("workload: duplicate benchmark %q", s.Name)
-	}
-	specs[s.Name] = s
-	return nil
 }
 
 func init() {

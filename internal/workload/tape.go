@@ -117,9 +117,6 @@ type Cursor struct {
 // consumed). The lockstep scheduler keys on it to run the laggard.
 func (c *Cursor) Pos() uint64 { return c.pos }
 
-// Walker returns the tape's shared walker.
-func (c *Cursor) Walker() *Walker { return c.tape.w }
-
 // NextInto copies the next goodpath instruction into ins, producing from
 // the shared walker only when this cursor is the first to reach the
 // stream head.

@@ -57,23 +57,8 @@ func NewWalker(spec *Spec) (*Walker, error) {
 	return w, nil
 }
 
-// Produced returns how many goodpath instructions have been generated.
-func (w *Walker) Produced() uint64 { return w.produced }
-
 // Phase returns the index of the currently active phase.
 func (w *Walker) Phase() int { return w.phase }
-
-// PhaseSwitches returns how many phase transitions have occurred.
-func (w *Walker) PhaseSwitches() uint64 { return w.phaseSwitches }
-
-// KindCount returns how many instructions of kind k have been produced.
-func (w *Walker) KindCount(k Kind) uint64 { return w.kindCounts[k] }
-
-// Next returns the next goodpath instruction.
-func (w *Walker) Next() (ins Instruction) {
-	w.NextInto(&ins)
-	return ins
-}
 
 // NextInto writes the next goodpath instruction into ins, overwriting
 // every field: the kernel generates straight into its fetch slot.
