@@ -139,9 +139,23 @@ func TestFamilySignatures(t *testing.T) {
 	if _, switches := walk(Scenario{Family: "phase-thrash", Params: map[string]float64{"period": 5000}}, 60_000); switches < 8 {
 		t.Fatalf("phase-thrash: only %d phase switches in 60k instructions", switches)
 	}
-	// loopy: stays in one phase, branch-heavy and loop-dominated.
-	if _, switches := walk(Scenario{Family: "loopy"}, 60_000); switches != 0 {
-		t.Fatalf("loopy switched phases")
+	// loopy: stays in one phase, branch-heavy and loop-dominated. The
+	// walker resets its block and call stack whenever the active phase's
+	// instructions run out, even with one phase, so the single phase must
+	// outlast the walk.
+	const loopyWalk = 60_000
+	spec, err := Scenario{Family: "loopy"}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Phases) != 1 {
+		t.Fatalf("loopy: %d phases, want 1", len(spec.Phases))
+	}
+	if n := spec.Phases[0].Instructions; n <= loopyWalk {
+		t.Fatalf("loopy: phase of %d instructions ends within the %d-instruction walk", n, loopyWalk)
+	}
+	if kinds, _ := walk(Scenario{Family: "loopy"}, loopyWalk); kinds[workload.KindBranch] == 0 {
+		t.Fatalf("loopy: no conditional branches in %d instructions", loopyWalk)
 	}
 }
 

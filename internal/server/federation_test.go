@@ -135,17 +135,27 @@ func TestFederationLeaseProtocol(t *testing.T) {
 func TestShardCacheCompletesWithoutLease(t *testing.T) {
 	f := testFederation(time.Minute, 3)
 	grid := tinyGrid(t, 5)
-	firstCh := make(chan []campaign.Result, 1)
+	type done struct {
+		results []campaign.Result
+		err     error
+	}
+	firstCh := make(chan done, 1)
 	go func() {
 		results, err := f.distribute(context.Background(), "", 0, grid, 2, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		firstCh <- results
+		firstCh <- done{results, err}
 	}()
+	deadline := time.Now().Add(10 * time.Second)
 	for posted := 0; posted < 2; {
 		lease, ok := f.lease(LeaseRequest{Worker: "w1"})
 		if !ok {
+			select {
+			case out := <-firstCh:
+				t.Fatalf("distribute returned after %d of 2 shards: %v", posted, out.err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of 2 shards leased before the deadline", posted)
+			}
 			time.Sleep(time.Millisecond)
 			continue
 		}
@@ -156,7 +166,11 @@ func TestShardCacheCompletesWithoutLease(t *testing.T) {
 		}
 		posted++
 	}
-	first := <-firstCh
+	out := <-firstCh
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	first := out.results
 	completed := f.stats().ShardsCompleted
 	if completed != 2 {
 		t.Fatalf("first campaign completed %d shards, want 2", completed)
