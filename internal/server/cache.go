@@ -143,7 +143,7 @@ type CacheStats struct {
 // NewCache reloads the file; bytes in memory were written by this
 // process and are not checked again.
 const (
-	frameMagic  = "paco-cache\x00\x02"
+	frameMagic  = "paco-cache\x00\x03"
 	frameHeader = len(frameMagic) + 8 + 4
 )
 

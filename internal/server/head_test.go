@@ -11,35 +11,35 @@ import (
 )
 
 // checkHead compares j's hand-written status head, with spec spliced
-// in, against json.MarshalIndent of its status.
+// in, against json.Marshal of its status.
 func checkHead(t *testing.T, j *job, spec []byte) {
 	t.Helper()
-	want, err := json.MarshalIndent(j.status(false), "", "  ")
+	want, err := json.Marshal(j.status(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append(j.appendHead(nil, spec), "\n}"...)
+	got := append(j.appendHead(nil, spec), '}')
 	if !bytes.Equal(got, want) {
-		t.Errorf("status head differs from MarshalIndent:\n got %s\nwant %s", got, want)
+		t.Errorf("status head differs from json.Marshal:\n got %s\nwant %s", got, want)
 	}
 }
 
-// indentedSpec is grid as a job entry stores it: MarshalIndent's bytes
-// one level deep.
-func indentedSpec(t testing.TB, grid campaign.Grid) []byte {
+// storedSpec is grid as a job entry stores it: json.Marshal's bytes.
+func storedSpec(t testing.TB, grid campaign.Grid) []byte {
 	t.Helper()
-	spec, err := json.MarshalIndent(grid, "  ", "  ")
+	spec, err := json.Marshal(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return spec
 }
 
-// TestHitHeadMatchesMarshalIndent: the hand-written head equals the
-// encoder's bytes for a job in every state — queued, running locally
-// and federated, done, failed with failed and skipped cells, and
-// answered from a cache entry — under traces and error text that need
-// every kind of escaping json.Marshal does.
+// TestHitHeadMatchesMarshalIndent: the hand-written head equals
+// json.Marshal's bytes for a job in every state — queued, running
+// locally and federated, done, failed with failed and skipped cells,
+// and answered from a cache entry — under traces and error text that
+// need every kind of escaping json.Marshal does. (The name predates
+// the compact wire format.)
 func TestHitHeadMatchesMarshalIndent(t *testing.T) {
 	grids := []campaign.Grid{mustGrid(t, gatedSpec), mustGrid(t, `{"fuzz":{"seed":3,"count":4}}`)}
 	traces := []string{
@@ -67,7 +67,7 @@ func TestHitHeadMatchesMarshalIndent(t *testing.T) {
 		"failed without summary": func(j *job) { j.fail("server shut down before the job ran", nil) },
 	}
 	for gi, grid := range grids {
-		spec := indentedSpec(t, grid)
+		spec := storedSpec(t, grid)
 		for _, trace := range traces {
 			for name, settle := range states {
 				j := newJob("j-000042", "feedface", grid, 8, trace)
@@ -106,7 +106,7 @@ func TestMarshalFloatMatchesEncoder(t *testing.T) {
 	}
 }
 
-// FuzzHitHead compares the hand-written head with json.MarshalIndent
+// FuzzHitHead compares the hand-written head with json.Marshal
 // for arbitrary job identities, traces, error text, states, timestamps
 // and summaries.
 func FuzzHitHead(f *testing.F) {
@@ -114,7 +114,7 @@ func FuzzHitHead(f *testing.F) {
 	f.Add("j-1", " \xff\"", "boom \x00", uint8(3), 5, 3, int64(1), int64(-1), true, 5, 2, 2, 1, uint64(1<<63), uint64(0), 1e-7)
 	f.Add("", "", "", uint8(1), -1, -7, int64(1e18), int64(7), false, 0, 0, 0, 0, uint64(0), uint64(0), 0.0)
 	grid := mustGrid(f, gatedSpec)
-	spec := indentedSpec(f, grid)
+	spec := storedSpec(f, grid)
 	f.Fuzz(func(t *testing.T, id, trace, errMsg string, state uint8, cells, cellsDone int,
 		startedNs, finishedNs int64, withSummary bool, jobs, completed, failed, skipped int,
 		cycles, retired uint64, mean float64) {

@@ -168,12 +168,9 @@ func TestHitResponsesByteIdentical(t *testing.T) {
 	first, _ := postJob(t, ts, gatedSpec)
 	waitDone(t, ts, first.ID)
 	code, hitBody := postRaw(t, ts, gatedSpec)
-	if code != http.StatusOK || !bytes.Contains(hitBody, []byte(`"cache": "hit"`)) {
-		t.Fatalf("re-POST = %d %s, want a hit", code, hitBody)
-	}
 	var hit JobStatus
-	if err := json.Unmarshal(hitBody, &hit); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(hitBody, &hit); code != http.StatusOK || err != nil || hit.Cache != "hit" {
+		t.Fatalf("re-POST = %d %s (%v), want a hit", code, hitBody, err)
 	}
 	if len(hit.Results) != 8 || hit.Results[0].Extra["rms_error"] == 0 {
 		t.Fatalf("hit carries %d results, first %+v; want 8 gated cells", len(hit.Results), hit.Results)
@@ -262,6 +259,7 @@ func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
 		good[:len(good)/2],                    // truncated
 		[]byte(`{"results":{},"summary":{}}`), // valid JSON, not a frame
 		legacy,                                // an older build's entry
+		versionTwoFile(t, good[frameHeader:]), // a whole frame of the indented format
 		flipped,                               // one payload byte flipped
 		append(bytes.Clone(good), '\n'),       // length disagrees with the file
 	} {
@@ -293,6 +291,31 @@ func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// versionTwoFile is the persisted file of the job entry payload as
+// builds with version-2 frames wrote it: the same header, the results
+// and spec sections indented one level deep as json.MarshalIndent
+// writes them, in an undamaged frame whose version byte is 2.
+func versionTwoFile(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	hit := parseStored(payload)
+	if hit == nil {
+		t.Fatal("payload is not a job entry")
+	}
+	var results, spec bytes.Buffer
+	if err := json.Indent(&results, hit.results, "  ", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&spec, hit.spec, "  ", "  "); err != nil {
+		t.Fatal(err)
+	}
+	e := binary.LittleEndian.AppendUint64(nil, uint64(results.Len()))
+	e = append(e, payload[8:jobEntryHeader]...)
+	e = append(append(e, results.Bytes()...), spec.Bytes()...)
+	f := append([]byte("paco-cache\x00\x02"), binary.LittleEndian.AppendUint64(nil, uint64(len(e)))...)
+	f = binary.LittleEndian.AppendUint32(f, checksum(e))
+	return append(f, e...)
 }
 
 // sweepPayload stores a synthetic sweep-shaped result set of n cells
@@ -329,16 +352,21 @@ func syntheticResults(n int) []campaign.Result {
 	return results
 }
 
-// discardWriter is a ResponseWriter that keeps only the status code, so
-// measuring a response does not measure a recorder's buffer growth.
+// discardWriter is a ResponseWriter that keeps only the status code and
+// the body's size, so measuring a response does not measure a
+// recorder's buffer growth.
 type discardWriter struct {
 	h    http.Header
 	code int
+	size int
 }
 
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+func (d *discardWriter) Header() http.Header  { return d.h }
+func (d *discardWriter) WriteHeader(code int) { d.code = code }
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.size += len(p)
+	return len(p), nil
+}
 
 // TestHitAllocsIndependentOfCells pins that answering a hit does not
 // decode its results: from content address to response written, a

@@ -50,10 +50,10 @@ type job struct {
 	errMsg    string
 
 	// stored and storedSpec are a cache hit's results array and spec
-	// exactly as the cache holds them: the JSON a hit's response splices
-	// in, indented one level. They are set before the job is registered
-	// and never change, so the POST answering the hit reads them without
-	// j.mu. Typed readers decode them into results and grid on first use
+	// exactly as the cache holds them: the compact JSON a hit's response
+	// splices in. They are set before the job is registered and never
+	// change, so the POST answering the hit reads them without j.mu.
+	// Typed readers decode them into results and grid on first use
 	// (resultsLocked, gridLocked).
 	stored, storedSpec       json.RawMessage
 	decoded, specDecoded     bool
@@ -163,49 +163,49 @@ func (j *job) cellCountsLocked() (queued, running, done int) {
 }
 
 // appendHead appends the job's status document as writeJSON writes
-// j.status(false) — json.MarshalIndent's bytes — up to but not
-// including its closing "\n}", with spec, the spec as MarshalIndent
-// writes it one level deep, spliced in as the spec member. It uses no
-// reflection: the members are few and fixed, strings are quoted by
-// appendMarshalString (json.Marshal's escaping) and the summary's mean
-// by appendMarshalFloat. writeHit continues the document with the
-// results; TestHitHeadMatchesMarshalIndent and FuzzHitHead hold it to
-// the encoder.
+// j.status(false) — json.Marshal's bytes — up to but not including its
+// closing '}', with spec, the spec as json.Marshal writes it, spliced
+// in as the spec member. It uses no reflection: the members are few and
+// fixed, strings are quoted by appendMarshalString (json.Marshal's
+// escaping) and the summary's mean by appendMarshalFloat. writeHit
+// continues the document with the results;
+// TestHitHeadMatchesMarshalIndent and FuzzHitHead hold it to the
+// encoder.
 func (j *job) appendHead(b, spec []byte) []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	b = appendMarshalString(append(b, "{\n  \"id\": "...), j.id)
-	b = appendMarshalString(append(b, ",\n  \"key\": "...), j.key)
+	b = appendMarshalString(append(b, `{"id":`...), j.id)
+	b = appendMarshalString(append(b, `,"key":`...), j.key)
 	if j.trace != "" {
-		b = appendMarshalString(append(b, ",\n  \"trace\": "...), j.trace)
+		b = appendMarshalString(append(b, `,"trace":`...), j.trace)
 	}
-	b = appendMarshalString(append(b, ",\n  \"status\": "...), j.state)
-	b = appendMarshalString(append(b, ",\n  \"cache\": "...), j.fromCache)
-	b = append(append(b, ",\n  \"spec\": "...), spec...)
+	b = appendMarshalString(append(b, `,"status":`...), j.state)
+	b = appendMarshalString(append(b, `,"cache":`...), j.fromCache)
+	b = append(append(b, `,"spec":`...), spec...)
 	queued, running, done := j.cellCountsLocked()
-	b = strconv.AppendInt(append(b, ",\n  \"cells\": {\n    \"total\": "...), int64(j.cells), 10)
-	b = strconv.AppendInt(append(b, ",\n    \"queued\": "...), int64(queued), 10)
-	b = strconv.AppendInt(append(b, ",\n    \"running\": "...), int64(running), 10)
-	b = strconv.AppendInt(append(b, ",\n    \"done\": "...), int64(done), 10)
-	b = appendTime(append(b, "\n  },\n  \"created\": "...), j.created)
+	b = strconv.AppendInt(append(b, `,"cells":{"total":`...), int64(j.cells), 10)
+	b = strconv.AppendInt(append(b, `,"queued":`...), int64(queued), 10)
+	b = strconv.AppendInt(append(b, `,"running":`...), int64(running), 10)
+	b = strconv.AppendInt(append(b, `,"done":`...), int64(done), 10)
+	b = appendTime(append(b, `},"created":`...), j.created)
 	if !j.started.IsZero() {
-		b = appendTime(append(b, ",\n  \"started\": "...), j.started)
+		b = appendTime(append(b, `,"started":`...), j.started)
 	}
 	if !j.finished.IsZero() {
-		b = appendTime(append(b, ",\n  \"finished\": "...), j.finished)
+		b = appendTime(append(b, `,"finished":`...), j.finished)
 	}
 	if sum := j.summary; sum != nil {
-		b = strconv.AppendInt(append(b, ",\n  \"summary\": {\n    \"jobs\": "...), int64(sum.Jobs), 10)
-		b = strconv.AppendInt(append(b, ",\n    \"completed\": "...), int64(sum.Completed), 10)
-		b = strconv.AppendInt(append(b, ",\n    \"failed\": "...), int64(sum.Failed), 10)
-		b = strconv.AppendInt(append(b, ",\n    \"skipped\": "...), int64(sum.Skipped), 10)
-		b = strconv.AppendUint(append(b, ",\n    \"cycles\": "...), sum.Cycles, 10)
-		b = strconv.AppendUint(append(b, ",\n    \"retired\": "...), sum.Retired, 10)
-		b = appendMarshalFloat(append(b, ",\n    \"mean_ipc\": "...), sum.MeanIPC)
-		b = append(b, "\n  }"...)
+		b = strconv.AppendInt(append(b, `,"summary":{"jobs":`...), int64(sum.Jobs), 10)
+		b = strconv.AppendInt(append(b, `,"completed":`...), int64(sum.Completed), 10)
+		b = strconv.AppendInt(append(b, `,"failed":`...), int64(sum.Failed), 10)
+		b = strconv.AppendInt(append(b, `,"skipped":`...), int64(sum.Skipped), 10)
+		b = strconv.AppendUint(append(b, `,"cycles":`...), sum.Cycles, 10)
+		b = strconv.AppendUint(append(b, `,"retired":`...), sum.Retired, 10)
+		b = appendMarshalFloat(append(b, `,"mean_ipc":`...), sum.MeanIPC)
+		b = append(b, '}')
 	}
 	if j.errMsg != "" {
-		b = appendMarshalString(append(b, ",\n  \"error\": "...), j.errMsg)
+		b = appendMarshalString(append(b, `,"error":`...), j.errMsg)
 	}
 	return b
 }

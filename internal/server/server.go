@@ -402,9 +402,7 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // errorJSON writes a JSON error body with the given status.
 func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // readBody reads the request body, at most limit bytes. On failure it
@@ -462,12 +460,12 @@ func decodeSpec(body []byte, v any) error {
 	return nil
 }
 
+// writeJSON answers with v as compact JSON plus a newline, the
+// encoder's bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // handleSubmit is POST /v1/jobs: answer from the cache, an in-flight
@@ -577,18 +575,18 @@ func writeAdmission(w http.ResponseWriter, j *job, outcome string) {
 // which splices the stored spec), then the stored results. "results"
 // is the last member a hit's status renders (its error is empty, and a
 // grid has at least one cell), and the stored results are the
-// encoder's bytes for the results one level deep (see jobEntry).
+// encoder's bytes for the results (see jobEntry).
 func writeHit(w http.ResponseWriter, j *job) {
 	buf := bodyPool.Get().(*[]byte)
 	defer bodyPool.Put(buf)
 	head := j.appendHead((*buf)[:0], j.storedSpec)
-	head = append(head, ",\n  \"results\": "...)
+	head = append(head, `,"results":`...)
 	*buf = head
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(head)
 	w.Write(j.stored)
-	io.WriteString(w, "\n}\n")
+	io.WriteString(w, "}\n")
 }
 
 // specKey computes the content address of a normalized grid: SHA-256
@@ -611,10 +609,9 @@ func specKey(grid campaign.Grid) (string, error) {
 // with, so a hit does no JSON work: a little-endian uint64 giving the
 // length of the results section, the summary as summaryWords
 // little-endian 8-byte words, the results, and the spec. The results
-// and the spec are json.MarshalIndent's bytes one level deep, exactly
-// what writeHit splices into the status document. Identity fields like
-// the job id and timestamps stay out, so the bytes are a pure function
-// of the spec.
+// and the spec are json.Marshal's bytes, exactly what writeHit splices
+// into the status document. Identity fields like the job id and
+// timestamps stay out, so the bytes are a pure function of the spec.
 const jobEntryHeader = 8 + 8*summaryWords
 
 // summaryWords is the number of fields of campaign.Summary.
@@ -622,23 +619,23 @@ const summaryWords = 7
 
 // jobEntry encodes a completed job as its cache entry.
 func jobEntry(spec campaign.Grid, results []campaign.Result, summary campaign.Summary) ([]byte, error) {
-	indented, err := json.MarshalIndent(results, "  ", "  ")
+	resultsJSON, err := json.Marshal(results)
 	if err != nil {
 		return nil, err
 	}
-	specJSON, err := json.MarshalIndent(spec, "  ", "  ")
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	e := make([]byte, 0, jobEntryHeader+len(indented)+len(specJSON))
-	e = binary.LittleEndian.AppendUint64(e, uint64(len(indented)))
+	e := make([]byte, 0, jobEntryHeader+len(resultsJSON)+len(specJSON))
+	e = binary.LittleEndian.AppendUint64(e, uint64(len(resultsJSON)))
 	for _, v := range [summaryWords]uint64{
 		uint64(summary.Jobs), uint64(summary.Completed), uint64(summary.Failed), uint64(summary.Skipped),
 		summary.Cycles, summary.Retired, math.Float64bits(summary.MeanIPC),
 	} {
 		e = binary.LittleEndian.AppendUint64(e, v)
 	}
-	e = append(e, indented...)
+	e = append(e, resultsJSON...)
 	return append(e, specJSON...), nil
 }
 

@@ -144,11 +144,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 // reflection: the ack is the one reply every chunk gets.
 func writeIngested(w http.ResponseWriter, accepted, queued int) {
 	b := make([]byte, 0, 64)
-	b = append(b, "{\n  \"accepted\": "...)
+	b = append(b, `{"accepted":`...)
 	b = strconv.AppendInt(b, int64(accepted), 10)
-	b = append(b, ",\n  \"queued\": "...)
+	b = append(b, `,"queued":`...)
 	b = strconv.AppendInt(b, int64(queued), 10)
-	b = append(b, "\n}\n"...)
+	b = append(b, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(b)
@@ -216,5 +216,19 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		sessionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, final)
+	writeIndentedJSON(w, http.StatusOK, final)
+}
+
+// writeIndentedJSON answers with v indented by two spaces plus a
+// newline. Only the session close document is written this way: its
+// bytes are a published contract, equal to `paco-trace replay -scores`
+// of the same trace, which `paco-trace stream` prints verbatim and
+// clients such as `paco-obs sessions -verify` compare byte for byte
+// with json.MarshalIndent of offline replay.
+func writeIndentedJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 }

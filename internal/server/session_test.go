@@ -231,7 +231,8 @@ func TestSessionStreamingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The DELETE body is writeJSON output: indented JSON plus newline.
+	// The DELETE body is writeIndentedJSON output: indented JSON plus
+	// newline, the bytes `paco-trace replay -scores` prints.
 	want, err := json.MarshalIndent(offline, "", "  ")
 	if err != nil {
 		t.Fatal(err)
